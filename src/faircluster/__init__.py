@@ -35,10 +35,8 @@ from .fair import (
     iterative_round,
 )
 from .lower_bounded import (
-    FlowNetwork,
     LbClusteringResult,
     LbInfeasibleError,
-    LbProblem,
     lb_clustering,
     min_cost_lb_matching,
 )
@@ -85,10 +83,8 @@ __all__ = [
     "fair_assignment",
     "fair_clustering",
     "iterative_round",
-    "FlowNetwork",
     "LbClusteringResult",
     "LbInfeasibleError",
-    "LbProblem",
     "lb_clustering",
     "min_cost_lb_matching",
     "LpModel",

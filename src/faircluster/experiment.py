@@ -239,6 +239,7 @@ def run_lb(config: ExperimentConfig, L: int | None = None) -> Path:
                 "opened": list(res.solution.opened),
                 "cluster_sizes": res.solution.cluster_sizes(),
                 "subsets_evaluated": res.subsets_evaluated,
+                "subsets_solved": res.subsets_solved,
                 "wall_ms": (time.perf_counter() - t0) * 1e3,
             })
         except Exception as exc:  # noqa: BLE001

@@ -1,192 +1,50 @@
 """Lower-bounded clustering: every opened facility must serve at least L clients.
 
-The FPT route: run any vanilla solver to fix candidate centers S, then for
-every nonempty subset T of S solve a min-cost b-matching in which each client
-is matched once and each facility of T receives at least L clients. Facility
-lower bounds are removed by the standard excess/deficit transformation and
-the resulting problem is solved by successive shortest paths with potentials.
-For the bottleneck norm the matching objective is meaningless, so the best
-radius is binary-searched with 0/1 feasibility matchings instead.
+The FPT route: run any vanilla solver to fix candidate centers S, then over
+the nonempty subsets T of S solve a min-cost b-matching in which each client
+is matched once and each facility of T receives at least L clients.
+
+The matching reduces exactly to one rectangular assignment problem: L slot
+rows per facility of T, each filled by a distinct client at the reduced cost
+c(v,f) - min_{g in T} c(v,g), with every other client sent to its nearest
+facility of T; scipy's ``linear_sum_assignment`` solves it. Dropping the
+slots leaves the lower bound sum_v min_{f in T} c(v,f) on T's cost, so
+subsets are visited in increasing bound order and the enumeration stops at
+the first bound above the best cost found. For the bottleneck norm the best
+radius is binary-searched, each probe one assignment on the 0/1 matrix
+"slot facility farther than r".
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .instance import Assignment, ClusteringInstance
-from .vanilla import SolverId, VanillaSolution, solve_vanilla
+from .vanilla import SolverId, VanillaSolution, default_solver_for, solve_vanilla
 
 SUBSET_ENUMERATION_CAP = 20
+# a bound this far above the best cost rules a subset out despite float rounding
+PRUNE_SLACK = 1e-9
 
 
 class LbInfeasibleError(ValueError):
     """No subset of centers can serve every facility with at least L clients."""
 
 
-@dataclass(frozen=True)
-class LbProblem:
-    """Lower-bounded clustering instance: every opened center serves >= L clients."""
-
-    instance: ClusteringInstance
-    L: int
-    k: int | None = None
-
-    def __post_init__(self):
-        if not (1 <= self.L <= self.instance.n):
-            raise LbInfeasibleError(f"L={self.L} must lie in [1, n={self.instance.n}]")
-        if self.k is None:
-            object.__setattr__(self, "k", self.instance.k)
-
-    def solve(self, solver_id: "SolverId | None" = None, seed: int = 0,
-              subset_cap: int = SUBSET_ENUMERATION_CAP) -> "LbClusteringResult":
-        return lb_clustering(self.instance, self.L, self.k, solver_id, seed, subset_cap)
-
-
-@dataclass
-class FlowNetwork:
-    """Arc-list flow network with per-arc lower bounds.
-
-    ``min_cost_flow`` routes the given node balances (positive = supply) at
-    minimum cost, honoring lower bounds via the excess/deficit reduction.
-    """
-
-    num_nodes: int
-    arcs: list[tuple[int, int, int, int, float]] = field(default_factory=list)
-    # (tail, head, lower, capacity, cost)
-
-    def add_arc(self, tail: int, head: int, lower: int, capacity: int, cost: float) -> int:
-        if not (0 <= tail < self.num_nodes and 0 <= head < self.num_nodes):
-            raise ValueError("arc endpoint out of range")
-        if not (0 <= lower <= capacity):
-            raise ValueError(f"need 0 <= lower ({lower}) <= capacity ({capacity})")
-        if cost < 0 or not math.isfinite(cost):
-            raise ValueError("arc costs must be finite and nonnegative")
-        self.arcs.append((tail, head, lower, capacity, cost))
-        return len(self.arcs) - 1
-
-    def min_cost_flow(self, balances) -> tuple[np.ndarray, float] | None:
-        """Returns (flow per arc, total cost), or None when infeasible.
-
-        ``balances[v]`` is the required net outflow of node v; they must sum
-        to zero. Successive shortest paths with Dijkstra + potentials; arc
-        costs are nonnegative so the initial potentials are zero.
-        """
-        bal = [float(b) for b in balances]
-        if len(bal) != self.num_nodes:
-            raise ValueError("one balance per node required")
-        if abs(sum(bal)) > 1e-9:
-            raise ValueError("balances must sum to zero")
-
-        # lower-bound reduction: force l units through each arc up front
-        base_flow = np.zeros(len(self.arcs), dtype=np.int64)
-        base_cost = 0.0
-        for a, (u, w, lower, cap, cost) in enumerate(self.arcs):
-            if lower:
-                base_flow[a] = lower
-                base_cost += lower * cost
-                bal[u] -= lower
-                bal[w] += lower
-
-        # residual graph with super source/sink absorbing the balances
-        nn = self.num_nodes + 2
-        src, snk = self.num_nodes, self.num_nodes + 1
-        head: list[int] = []
-        cap_res: list[int] = []
-        cost_res: list[float] = []
-        adj: list[list[int]] = [[] for _ in range(nn)]
-        arc_pos: list[int] = []
-
-        def push_edge(u, w, c, cost):
-            adj[u].append(len(head))
-            head.append(w)
-            cap_res.append(c)
-            cost_res.append(cost)
-            adj[w].append(len(head))
-            head.append(u)
-            cap_res.append(0)
-            cost_res.append(-cost)
-
-        for a, (u, w, lower, cap, cost) in enumerate(self.arcs):
-            arc_pos.append(len(head))
-            push_edge(u, w, cap - lower, cost)
-        total = 0
-        for v, b in enumerate(bal):
-            if b > 1e-9:
-                push_edge(src, v, int(round(b)), 0.0)
-                total += int(round(b))
-            elif b < -1e-9:
-                push_edge(v, snk, int(round(-b)), 0.0)
-
-        potential = [0.0] * nn
-        INF = math.inf
-        sent = 0
-        while sent < total:
-            dist = [INF] * nn
-            parent_edge = [-1] * nn
-            dist[src] = 0.0
-            pq = [(0.0, src)]
-            while pq:
-                d, u = heapq.heappop(pq)
-                if d > dist[u] + 1e-12:
-                    continue
-                for e in adj[u]:
-                    if cap_res[e] <= 0:
-                        continue
-                    w = head[e]
-                    rc = cost_res[e] + potential[u] - potential[w]
-                    if rc < 0.0:
-                        rc = 0.0  # float noise; exact SSP keeps reduced costs >= 0
-                    nd = d + rc
-                    if nd < dist[w] - 1e-12:
-                        dist[w] = nd
-                        parent_edge[w] = e
-                        heapq.heappush(pq, (nd, w))
-            if parent_edge[snk] < 0:
-                return None
-            for v in range(nn):
-                if dist[v] < INF:
-                    potential[v] += dist[v]
-            # bottleneck along the path
-            push = total - sent
-            v = snk
-            while v != src:
-                e = parent_edge[v]
-                push = min(push, cap_res[e])
-                v = head[e ^ 1]
-            v = snk
-            while v != src:
-                e = parent_edge[v]
-                cap_res[e] -= push
-                cap_res[e ^ 1] += push
-                v = head[e ^ 1]
-            sent += push
-
-        flow = base_flow.copy()
-        cost_total = base_cost
-        for a, (u, w, lower, cap, cost) in enumerate(self.arcs):
-            routed = (cap - lower) - cap_res[arc_pos[a]]
-            flow[a] += routed
-            cost_total += routed * cost
-        return flow, cost_total
-
-
-def _matching_network(n: int, t: int, lower: int, costs: np.ndarray):
-    """Clients 0..n-1, facilities n..n+t-1, sink n+t; client arcs cap 1."""
-    net = FlowNetwork(num_nodes=n + t + 1)
-    sink = n + t
-    arc_of: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        for j in range(t):
-            arc_of[(v, j)] = net.add_arc(v, n + j, 0, 1, float(costs[v, j]))
-    for j in range(t):
-        net.add_arc(n + j, sink, lower, n, 0.0)
-    balances = [1.0] * n + [0.0] * t + [-float(n)]
-    return net, arc_of, balances, sink
+def _assign_slots(fac: np.ndarray, near: np.ndarray, slot_cost: np.ndarray,
+                  L: int) -> tuple[np.ndarray, float]:
+    """Fill L slots per facility with distinct clients at the least total
+    ``slot_cost`` (clients x facilities); every other client goes to its row
+    minimum of ``near``, ties to the lowest index. Returns (phi, slot cost)."""
+    rows, cols = linear_sum_assignment(np.repeat(slot_cost.T, L, axis=0))
+    phi = fac[np.argmin(near, axis=1)]
+    phi[cols] = fac[rows // L]
+    return phi, slot_cost[cols, rows // L].sum()
 
 
 def min_cost_lb_matching(instance: ClusteringInstance, facilities, L: int,
@@ -202,72 +60,46 @@ def min_cost_lb_matching(instance: ClusteringInstance, facilities, L: int,
         p = instance.p
     if math.isinf(p):
         raise ValueError("min_cost_lb_matching needs finite p")
-    fac = sorted(dict.fromkeys(int(f) for f in facilities))
-    if not fac:
+    fac = np.asarray(sorted(dict.fromkeys(int(f) for f in facilities)), dtype=int)
+    if not fac.size:
         raise ValueError("facility subset must be nonempty")
-    n, t = instance.n, len(fac)
-    if L * t > n:
+    n = instance.n
+    if L * len(fac) > n:
         return None
-    costs = instance.dist_cf[:, fac] ** p
-    net, arc_of, balances, _ = _matching_network(n, t, L, costs)
-    res = net.min_cost_flow(balances)
-    if res is None:
-        return None
-    flow, total = res
-    phi = np.full(n, -1, dtype=int)
-    for (v, j), a in arc_of.items():
-        if flow[a] == 1:
-            phi[v] = fac[j]
-    if (phi < 0).any():
-        raise RuntimeError("flow left a client unmatched despite feasibility")
-    return phi, float(total)
+    c = instance.dist_cf[:, fac] ** p
+    phi, _ = _assign_slots(fac, c, c - c.min(axis=1, keepdims=True), L)
+    return phi, math.fsum(instance.dist_cf[np.arange(n), phi] ** p)
 
 
 def _bottleneck_lb_matching(instance: ClusteringInstance, fac: list[int],
                             L: int) -> tuple[np.ndarray, float] | None:
     """Smallest radius G such that a matching with all arcs d <= G exists;
     returns (phi, G) or None when L * |fac| > n."""
-    n, t = instance.n, len(fac)
-    if L * t > n:
+    if L * len(fac) > instance.n:
         return None
+    fac = np.asarray(fac, dtype=int)
     d = instance.dist_cf[:, fac]
     values = np.unique(d)
 
-    def attempt(radius: float):
-        net = FlowNetwork(num_nodes=n + t + 1)
-        sink = n + t
-        arc_of = {}
-        for v in range(n):
-            for j in range(t):
-                if d[v, j] <= radius:
-                    arc_of[(v, j)] = net.add_arc(v, n + j, 0, 1, 0.0)
-        for j in range(t):
-            net.add_arc(n + j, sink, L, n, 0.0)
-        res = net.min_cost_flow([1.0] * n + [0.0] * t + [-float(n)])
-        if res is None:
-            return None
-        phi = np.full(n, -1, dtype=int)
-        for (v, j), a in arc_of.items():
-            if res[0][a] == 1:
-                phi[v] = fac[j]
-        if (phi < 0).any():
-            return None
-        return phi
+    def attempt(radius: float) -> np.ndarray | None:
+        # clients off the slots go to their nearest facility, which every
+        # probed radius covers since none lies below max_v min_f d(v,f)
+        phi, misses = _assign_slots(fac, d, d > radius, L)
+        return phi if misses == 0 else None
 
     lo = int(np.searchsorted(values, d.min(axis=1).max()))
     hi = len(values) - 1
-    best = attempt(float(values[hi]))
-    if best is None:
-        return None
-    best_idx = hi
-    while lo < best_idx:
-        mid = (lo + best_idx) // 2
+    best = None
+    while lo < hi:
+        mid = (lo + hi) // 2
         phi = attempt(float(values[mid]))
-        if phi is not None:
-            best, best_idx = phi, mid
-        else:
+        if phi is None:
             lo = mid + 1
-    return best, float(values[best_idx])
+        else:
+            best, hi = phi, mid
+    if best is None:
+        best = attempt(float(values[hi]))
+    return best, float(values[hi])
 
 
 @dataclass(frozen=True)
@@ -275,6 +107,7 @@ class LbClusteringResult:
     vanilla: VanillaSolution
     solution: Assignment
     subsets_evaluated: int
+    subsets_solved: int
 
     @property
     def cost_p(self) -> float:
@@ -286,10 +119,13 @@ def lb_clustering(instance: ClusteringInstance, L: int, k: int | None = None,
                   subset_cap: int = SUBSET_ENUMERATION_CAP) -> LbClusteringResult:
     """Lower-bounded (k,p)-clustering by subset enumeration over vanilla centers.
 
-    Evaluates all 2^|S| - 1 nonempty subsets of the vanilla solution's
-    centers; infeasible subsets (L * |T| > n) are skipped. Ties on cost break
-    to the lexicographically smallest subset, so the result is independent of
-    enumeration order. Every cluster of the result has size >= L.
+    Enumerates all 2^|S| - 1 nonempty subsets of the vanilla solution's
+    centers; infeasible subsets (L * |T| > n) are skipped. The rest are
+    solved in increasing order of their nearest-center lower bound until
+    that bound exceeds the best cost, which rules out every later subset.
+    Ties on cost break to the lexicographically smallest subset, so the
+    result is independent of the visiting order. Every cluster of the
+    result has size >= L.
     """
     k = instance.k if k is None else k
     if k > subset_cap:
@@ -297,29 +133,33 @@ def lb_clustering(instance: ClusteringInstance, L: int, k: int | None = None,
     if not (1 <= L <= instance.n):
         raise LbInfeasibleError(f"L={L} must lie in [1, n={instance.n}]")
     if solver_id is None:
-        solver_id = SolverId.K_CENTER_GONZALEZ if math.isinf(instance.p) else \
-            SolverId.K_MEDIAN_LOCAL_SEARCH if instance.p == 1 else SolverId.K_MEANS_LLOYD
+        solver_id = default_solver_for(instance.p)
     vanilla = solve_vanilla(instance, solver_id, seed, k)
     S = sorted(vanilla.opened)
+    bottleneck = math.isinf(instance.p)
+    near = instance.dist_cf[:, S] if bottleneck else instance.dist_cf[:, S] ** instance.p
 
+    def lower_bound(cols: tuple[int, ...]) -> float:
+        nearest = near[:, list(cols)].min(axis=1)
+        return float(nearest.max() if bottleneck else nearest.sum())
+
+    candidates = sorted(
+        (lower_bound(cols), tuple(S[j] for j in cols))
+        for size in range(1, len(S) + 1) if L * size <= instance.n
+        for cols in itertools.combinations(range(len(S)), size)
+    )
     best: tuple[float, tuple[int, ...], np.ndarray] | None = None
-    evaluated = 0
-    for size in range(1, len(S) + 1):
-        for T in itertools.combinations(S, size):
-            evaluated += 1
-            if math.isinf(instance.p):
-                res = _bottleneck_lb_matching(instance, list(T), L)
-                if res is None:
-                    continue
-                phi, cost = res
-            else:
-                res = min_cost_lb_matching(instance, T, L)
-                if res is None:
-                    continue
-                phi, cost = res
-            key = (cost, T)
-            if best is None or key < (best[0], best[1]):
-                best = (cost, T, phi)
+    solved = 0
+    for bound, T in candidates:
+        if best is not None and bound > best[0] * (1.0 + PRUNE_SLACK):
+            break
+        solved += 1
+        if bottleneck:
+            phi, cost = _bottleneck_lb_matching(instance, list(T), L)
+        else:
+            phi, cost = min_cost_lb_matching(instance, T, L)
+        if best is None or (cost, T) < (best[0], best[1]):
+            best = (cost, T, phi)
     if best is None:
         raise LbInfeasibleError(
             f"no feasible subset: L={L} cannot be met by any T of the {len(S)} centers"
@@ -331,4 +171,4 @@ def lb_clustering(instance: ClusteringInstance, L: int, k: int | None = None,
     if short:
         raise RuntimeError(f"matching postcondition broken: clusters below L: {short}")
     return LbClusteringResult(vanilla=vanilla, solution=assignment,
-                              subsets_evaluated=evaluated)
+                              subsets_evaluated=2 ** len(S) - 1, subsets_solved=solved)

@@ -216,7 +216,7 @@ def test_criterion_7_lower_bounded():
     for trial in range(100):
         L = 1 + trial % 3
         if trial % 3 == 0:
-            # integer explicit metric: flow optimum must equal brute force exactly
+            # integer explicit metric: matching optimum must equal brute force exactly
             inst = random_integer_metric_instance(rng, n=6, k=2, p=1.0)
             T = sorted(rng.choice(inst.n, size=2, replace=False).tolist())
             got = min_cost_lb_matching(inst, T, L)
@@ -249,10 +249,10 @@ def test_criterion_7_lower_bounded():
             if res.solution.cost_p > (rho + 2.0) * orc.opt_lbnd + 1e-6:
                 chain_ok = False
     ok = floor_ok and exact_ok and chain_ok
-    report(7, "lower-bounded: floors, exact flow, (rho+2) chain", ok,
-           f"{exact_checked} exact flow comparisons")
+    report(7, "lower-bounded: floors, exact matching, (rho+2) chain", ok,
+           f"{exact_checked} exact matching comparisons")
     assert floor_ok, "a cluster fell below L"
-    assert exact_ok, "flow cost differed from the brute-force optimum"
+    assert exact_ok, "matching cost differed from the brute-force optimum"
     assert chain_ok, "cost exceeded (rho_obs + 2) * opt_lbnd"
 
 

@@ -119,6 +119,7 @@ def test_lb_report(small_csv, tmp_path):
     rows = json.loads(path.read_text())["rows"]
     assert rows[0]["status"] == "ok"
     assert all(size >= 5 for size in rows[0]["cluster_sizes"].values())
+    assert 1 <= rows[0]["subsets_solved"] <= rows[0]["subsets_evaluated"] == 3
 
 
 def test_oracle_report(small_csv, tmp_path):

@@ -6,9 +6,7 @@ import pytest
 
 from faircluster import (
     ClusteringInstance,
-    FlowNetwork,
     LbInfeasibleError,
-    LbProblem,
     lb_clustering,
     min_cost_lb_matching,
 )
@@ -16,6 +14,7 @@ from faircluster.lower_bounded import _bottleneck_lb_matching
 from faircluster.vanilla import SolverId
 
 from util import (
+    make_groups,
     random_euclidean_instance,
     random_integer_metric_instance,
     slow_cost,
@@ -39,40 +38,19 @@ def slow_lb_matching_opt(instance, T, L, p):
     return best
 
 
-class TestFlowNetwork:
-    def test_simple_transshipment(self):
-        # two sources feeding one sink over cheap vs expensive middle arcs
-        net = FlowNetwork(num_nodes=4)
-        a = net.add_arc(0, 2, 0, 2, 1.0)
-        b = net.add_arc(1, 2, 0, 2, 5.0)
-        c = net.add_arc(2, 3, 0, 4, 0.0)
-        flow, cost = net.min_cost_flow([2, 1, 0, -3])
-        assert flow[a] == 2 and flow[b] == 1 and flow[c] == 3
-        assert cost == pytest.approx(2 * 1.0 + 1 * 5.0)
-
-    def test_lower_bound_forces_expensive_arc(self):
-        net = FlowNetwork(num_nodes=3)
-        cheap = net.add_arc(0, 2, 0, 5, 1.0)
-        forced = net.add_arc(0, 1, 2, 5, 10.0)
-        bridge = net.add_arc(1, 2, 0, 5, 0.0)
-        flow, cost = net.min_cost_flow([3, 0, -3])
-        assert flow[forced] == 2 and flow[bridge] == 2 and flow[cheap] == 1
-        assert cost == pytest.approx(1.0 + 20.0)
-
-    def test_infeasible_returns_none(self):
-        net = FlowNetwork(num_nodes=2)
-        net.add_arc(0, 1, 0, 1, 0.0)
-        assert net.min_cost_flow([3, -3]) is None
-
-    def test_arc_validation(self):
-        net = FlowNetwork(num_nodes=2)
-        with pytest.raises(ValueError):
-            net.add_arc(0, 1, 3, 2, 0.0)
-        with pytest.raises(ValueError):
-            net.add_arc(0, 1, 0, 1, -1.0)
-
-
 class TestMinCostLbMatching:
+    def test_lower_bound_forces_costlier_client(self):
+        # clients at 0, 1, 2, 10 and facilities at 0 and 10: with L=2 the far
+        # facility must take the client at 2 (cost 8) although 0 is nearer
+        pts = np.array([[0.0], [1.0], [2.0], [10.0]])
+        fac = np.array([[0.0], [10.0]])
+        inst = ClusteringInstance.from_points(pts, [{0, 1, 2, 3}], k=2, p=1.0,
+                                              facility_points=fac)
+        phi, cost = min_cost_lb_matching(inst, [0, 1], L=1)
+        assert phi.tolist() == [0, 0, 0, 1] and cost == 3.0
+        phi, cost = min_cost_lb_matching(inst, [0, 1], L=2)
+        assert phi.tolist() == [0, 0, 1, 1] and cost == 9.0
+
     def test_L1_matches_bruteforce(self):
         rng = np.random.default_rng(2)
         for _ in range(15):
@@ -97,7 +75,7 @@ class TestMinCostLbMatching:
         assert min_cost_lb_matching(inst, [0, 1, 2], L=2) is None
 
     def test_exact_on_integer_metrics(self):
-        # integer explicit metrics with p=1: flow and brute force must agree
+        # integer explicit metrics with p=1: matching and brute force must agree
         # exactly, no tolerance
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -204,12 +182,44 @@ class TestLbClustering:
         res = lb_clustering(inst, L=1, seed=5)
         assert res.solution.cost_p <= res.vanilla.cost_p + 1e-9
 
-    def test_problem_type_validates_and_solves(self):
+    def test_validates_L_and_solves(self):
         rng = np.random.default_rng(15)
         inst = random_euclidean_instance(rng, n=8, m=4, k=2, p=1.0)
-        res = LbProblem(inst, L=2).solve(seed=1)
+        res = lb_clustering(inst, L=2, seed=1)
         assert all(s >= 2 for s in res.solution.cluster_sizes().values())
         with pytest.raises(LbInfeasibleError):
-            LbProblem(inst, L=0)
+            lb_clustering(inst, L=0)
         with pytest.raises(LbInfeasibleError):
-            LbProblem(inst, L=99)
+            lb_clustering(inst, L=99)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_pruned_enumeration_matches_every_subset(p):
+    # solving every subset and taking the least (cost, T) must agree with the
+    # bound-pruned search, on duplicated points (distance ties) and tight L
+    rng = np.random.default_rng(16)
+    pruned = 0
+    for trial in range(14):
+        n, k = int(rng.integers(12, 25)), int(rng.integers(2, 5))
+        pts = rng.integers(0, 6, size=(n, 2)).astype(float)
+        if trial % 2 == 0:
+            pts[n // 2:] = pts[: n - n // 2]
+        inst = ClusteringInstance.from_points(pts, make_groups(rng, n, 1), k=k, p=p)
+        L = n // k if trial % 3 == 0 else int(rng.integers(1, n // k + 1))
+        res = lb_clustering(inst, L=L, seed=trial)
+        best = None
+        S = sorted(res.vanilla.opened)
+        for T in itertools.chain.from_iterable(
+                itertools.combinations(S, size) for size in range(1, len(S) + 1)):
+            if math.isinf(p):
+                got = _bottleneck_lb_matching(inst, list(T), L)
+            else:
+                got = min_cost_lb_matching(inst, T, L)
+            if got is not None and (best is None or (got[1], T) < best):
+                best = (got[1], T)
+        assert res.solution.opened == best[1]
+        expected = best[0] if math.isinf(p) else best[0] ** (1.0 / p)
+        assert res.solution.cost_p == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert 1 <= res.subsets_solved <= res.subsets_evaluated == 2 ** len(S) - 1
+        pruned += res.subsets_solved < res.subsets_evaluated
+    assert pruned > 0
