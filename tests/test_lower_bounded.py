@@ -38,19 +38,36 @@ def slow_lb_matching_opt(instance, T, L, p):
     return best
 
 
-class TestMinCostLbMatching:
-    def test_lower_bound_forces_costlier_client(self):
-        # clients at 0, 1, 2, 10 and facilities at 0 and 10: with L=2 the far
-        # facility must take the client at 2 (cost 8) although 0 is nearer
-        pts = np.array([[0.0], [1.0], [2.0], [10.0]])
-        fac = np.array([[0.0], [10.0]])
-        inst = ClusteringInstance.from_points(pts, [{0, 1, 2, 3}], k=2, p=1.0,
-                                              facility_points=fac)
-        phi, cost = min_cost_lb_matching(inst, [0, 1], L=1)
+def _line_instance(p=1.0):
+    # clients at 0, 1, 2, 10 and facilities at 0 and 10
+    pts = np.array([[0.0], [1.0], [2.0], [10.0]])
+    fac = np.array([[0.0], [10.0]])
+    return ClusteringInstance.from_points(pts, [{0, 1, 2, 3}], k=2, p=p,
+                                          facility_points=fac)
+
+
+class TestFlowNetwork:
+    """The lower-bounded b-matching read as a transshipment: every client
+    ships one unit, every facility of T must receive at least L."""
+
+    def test_simple_transshipment(self):
+        # L=1 does not bind: each client routes to its nearest facility
+        phi, cost = min_cost_lb_matching(_line_instance(), [0, 1], L=1)
         assert phi.tolist() == [0, 0, 0, 1] and cost == 3.0
-        phi, cost = min_cost_lb_matching(inst, [0, 1], L=2)
+
+    def test_lower_bound_forces_expensive_arc(self):
+        # with L=2 the far facility must take the client at 2 (cost 8)
+        # although the facility at 0 is nearer
+        phi, cost = min_cost_lb_matching(_line_instance(), [0, 1], L=2)
         assert phi.tolist() == [0, 0, 1, 1] and cost == 9.0
 
+    def test_infeasible_returns_none(self):
+        # L*|T| = 6 > n = 4: no matching exists, for p finite or infinite
+        assert min_cost_lb_matching(_line_instance(), [0, 1], L=3) is None
+        assert _bottleneck_lb_matching(_line_instance(math.inf), [0, 1], L=3) is None
+
+
+class TestMinCostLbMatching:
     def test_L1_matches_bruteforce(self):
         rng = np.random.default_rng(2)
         for _ in range(15):
