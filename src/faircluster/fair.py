@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,17 @@ from .instance import (
     build_report,
     nearest_assignment,
 )
-from .lp import INTEGRALITY_TOL, LpModel, LpSolution, LpStatus, SolverError, check_feasible, solve_lp
+from .lp import (
+    INTEGRALITY_TOL,
+    LpModel,
+    LpSolution,
+    LpStatus,
+    SolverError,
+    check_feasible,
+    csr_from_coo,
+    pow2_scale,
+    solve_lp,
+)
 from .vanilla import SolverId, VanillaSolution, solve_vanilla
 
 CONSERVATION_TOL = 1e-7
@@ -41,17 +51,24 @@ class FairnessInfeasibleError(ValueError):
     """The aggregate group ratios rule out any (even fractional) fair assignment."""
 
 
-def _raise_infeasible(instance: ClusteringInstance, profile: FairnessProfile) -> None:
+def _check_aggregate_ratios(instance: ClusteringInstance, profile: FairnessProfile) -> None:
+    """Reject a profile that no fractional assignment can meet, before any LP.
+
+    Sending every client to every opened facility with weight 1/|S| puts the
+    dataset ratio r_i in every cluster, so it meets every ratio row (at any
+    radius for p = inf) exactly when beta_i <= r_i <= alpha_i. Past this
+    check an infeasible fair LP is a solver failure, not a property of the input.
+    """
     r = instance.group_ratios
-    for i in range(instance.ell):
-        if not (profile.beta[i] - 1e-12 <= r[i] <= profile.alpha[i] + 1e-12):
-            raise FairnessInfeasibleError(
-                f"group {i} has dataset ratio {r[i]:.6f} outside "
-                f"[beta={profile.beta[i]:.6f}, alpha={profile.alpha[i]:.6f}]; "
-                "no assignment can satisfy the profile in aggregate"
-            )
-    raise SolverError("fair-assignment LP reported infeasible but aggregate ratios admit "
-                      "the proportional solution; solver contract violated")
+    bad = np.flatnonzero((r < np.asarray(profile.beta) - 1e-12)
+                         | (r > np.asarray(profile.alpha) + 1e-12))
+    if bad.size:
+        i = int(bad[0])
+        raise FairnessInfeasibleError(
+            f"group {i} has dataset ratio {r[i]:.6f} outside "
+            f"[beta={profile.beta[i]:.6f}, alpha={profile.alpha[i]:.6f}]; "
+            "no assignment can satisfy the profile in aggregate"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,218 +98,131 @@ class FairAssignmentProblem:
         return self.instance.dist_cf[:, list(self.opened)]
 
 
-def _pow2_scale(dmax: float) -> float:
-    """Power-of-two scale ~ dmax, so scaled distances stay near [0, 1]."""
-    if dmax <= 0:
-        return 1.0
-    return float(2.0 ** math.ceil(math.log2(dmax)))
-
-
 def _pair_cost(problem: FairAssignmentProblem):
     """Scaled per-pair objective coefficients: ((d/s)^p, s^p)."""
     d = problem.dist
-    scale = _pow2_scale(float(d.max()))
+    scale = pow2_scale(float(d.max()))
     return (d / scale) ** problem.p, scale**problem.p
+
+
+def _assignment_lp(problem: FairAssignmentProblem, v: np.ndarray, j: np.ndarray,
+                   cost: np.ndarray, scale: float) -> LpModel:
+    """Fair-assignment LP over the variables x_t = x_{v[t], j[t]}.
+
+    ``a_ub`` holds two ratio rows per (facility, group), facility-major, for
+    every facility with a variable, then an unsatisfiable empty row per client
+    without one; ``a_eq`` holds one assignment row per other client.
+    """
+    inst = problem.instance
+    n, s, ell = inst.n, len(problem.opened), inst.ell
+    nnz = v.size
+    live = np.bincount(j, minlength=s) > 0
+    first_row = 2 * ell * (np.cumsum(live) - 1)
+    rows = first_row[j][:, None, None] + np.arange(2 * ell).reshape(ell, 2)
+    member = inst.membership[v].astype(float)
+    data = np.stack([member - np.asarray(problem.profile.alpha),
+                     np.asarray(problem.profile.beta) - member], axis=2)
+    cols = np.broadcast_to(np.arange(nnz)[:, None, None], rows.shape)
+    served = np.bincount(v, minlength=n) > 0
+    n_eq = int(served.sum())
+    n_ratio = 2 * ell * int(live.sum())
+    b_ub = np.zeros(n_ratio + n - n_eq)
+    b_ub[n_ratio:] = -1.0
+    return LpModel(
+        c=cost,
+        a_ub=csr_from_coo(rows.ravel(), cols.ravel(), data.ravel(), (b_ub.size, nnz)),
+        b_ub=b_ub,
+        a_eq=csr_from_coo((np.cumsum(served) - 1)[v], np.arange(nnz), np.ones(nnz), (n_eq, nnz)),
+        b_eq=np.ones(n_eq),
+        objective_scale=scale,
+    )
 
 
 def build_fair_lp(problem: FairAssignmentProblem) -> LpModel:
     """The fair-assignment relaxation: minimize sum d(v,f)^p x_{v,f} over x in [0,1]
     with per-(facility, group) ratio rows and one-assignment rows per client.
 
-    Distances are pre-scaled by a power of two for conditioning; the model's
+    Variables are the n x |S| pairs in row-major order. Distances are
+    pre-scaled by a power of two for conditioning; the model's
     ``objective_scale`` restores reported objectives to d^p units.
     """
     if math.isinf(problem.p):
         raise ValueError("p = inf has no linear objective; use build_fair_feasibility_lp")
     cost, scale_p = _pair_cost(problem)
     n, s = cost.shape
-    model = LpModel(objective_scale=scale_p)
-    for v in range(n):
-        for j in range(s):
-            model.add_variable(0.0, 1.0, float(cost[v, j]))
-    _add_fairness_rows(model, problem, lambda v, j: v * s + j, np.arange(n))
-    for v in range(n):
-        model.add_constraint(np.arange(v * s, v * s + s), np.ones(s), "==", 1.0)
-    return model
-
-
-def _add_fairness_rows(model: LpModel, problem: FairAssignmentProblem,
-                       var_of, clients: np.ndarray, lam: float = 0.0) -> None:
-    """Two rows per (facility, group): counts within [beta - lam, alpha + lam] share."""
-    inst = problem.instance
-    s = len(problem.opened)
-    for j in range(s):
-        cols = np.array([var_of(v, j) for v in clients])
-        live = cols >= 0
-        cols = cols[live]
-        sub = clients[live]
-        if cols.size == 0:
-            continue
-        member = inst.membership[sub]  # (|sub|, ell)
-        for i in range(inst.ell):
-            a, b = problem.profile.alpha[i], problem.profile.beta[i]
-            mi = member[:, i].astype(float)
-            model.add_constraint(cols, mi - a, "<=", lam)
-            model.add_constraint(cols, b - mi, "<=", lam)
-
-
-def feasible_pairs(problem: FairAssignmentProblem, guess: float) -> list[tuple[int, int]]:
-    """(client, opened-position) pairs within the radius guess, row-major order."""
-    d = problem.dist
-    n, s = d.shape
-    return [(v, j) for v in range(n) for j in range(s) if d[v, j] <= guess]
+    v, j = np.divmod(np.arange(n * s), s)
+    return _assignment_lp(problem, v, j, cost.ravel(), scale_p)
 
 
 def build_fair_feasibility_lp(problem: FairAssignmentProblem, guess: float) -> LpModel:
     """Feasibility system for p = inf: same rows as the fair LP but no objective,
-    with variables only for pairs at distance <= guess."""
-    d = problem.dist
-    n, s = d.shape
-    model = LpModel()
-    var_id = -np.ones((n, s), dtype=int)
-    for v, j in feasible_pairs(problem, guess):
-        var_id[v, j] = model.add_variable(0.0, 1.0, 0.0)
-    _add_fairness_rows(model, problem, lambda v, j: int(var_id[v, j]), np.arange(n))
-    for v in range(n):
-        cols = var_id[v][var_id[v] >= 0]
-        if cols.size == 0:
-            # client out of range of every facility: infeasible by construction
-            model.add_constraint([], [], ">=", 1.0)
-        else:
-            model.add_constraint(cols, np.ones(cols.size), "==", 1.0)
-    return model
+    with variables only for pairs at distance <= guess (row-major order)."""
+    v, j = np.nonzero(problem.dist <= guess)
+    return _assignment_lp(problem, v, j, np.zeros(v.size), 1.0)
 
 
-def _snap_floor(x: float) -> int:
-    return math.floor(x + _T_SNAP)
-
-
-def _snap_ceil(x: float) -> int:
-    return math.ceil(x - _T_SNAP)
-
-
-@dataclass
-class RoundingState:
-    """Mutable working state of the iterative rounding loop.
-
-    ``pairs`` lists surviving (client, opened-position) variables with current
-    fractional values ``x``. ``t_f`` / ``t_fi`` carry the residual loads that
-    define the floor/ceil windows; active flags track which windows remain.
-    """
-
-    problem: FairAssignmentProblem
-    fixed: dict[int, int]                 # client -> facility id
-    pairs: list[tuple[int, int]]
-    x: np.ndarray
-    t_f: np.ndarray                       # (s,) residual loads (decremented on fixes)
-    t_fi: np.ndarray                      # (s, ell)
-    active_f: np.ndarray                  # (s,) bool
-    active_fi: np.ndarray                 # (s, ell) bool
-    t_f0: np.ndarray | None = None        # loads at loop entry (window reference)
-    t_fi0: np.ndarray | None = None
-    prefixed: frozenset[int] = frozenset()  # clients integral before the loop
-    iteration: int = 0
-    history: list[dict] = field(default_factory=list)
-
-    def unfixed_clients(self) -> list[int]:
-        return sorted({v for v, _ in self.pairs})
-
-    def conservation_error(self) -> float:
-        sums: dict[int, float] = {}
-        for (v, _), val in zip(self.pairs, self.x):
-            sums[v] = sums.get(v, 0.0) + val
-        if not sums:
-            return 0.0
-        return max(abs(t - 1.0) for t in sums.values())
-
-
-def _init_state(problem: FairAssignmentProblem, lp_solution: LpSolution,
-                layout: list[tuple[int, int]] | None = None) -> RoundingState:
+def _build_lp2(problem: FairAssignmentProblem, v: np.ndarray, j: np.ndarray,
+               t_f: np.ndarray, t_fi: np.ndarray,
+               active_f: np.ndarray, active_fi: np.ndarray) -> LpModel:
+    """LP2 over the surviving variables x_{v[t], j[t]}: objective as the fair
+    LP, plus a floor/ceil load window (a >= row, then a <= row) for every
+    still-active facility and (facility, group) row with support, facility-major,
+    and one assignment row per client."""
     inst = problem.instance
-    n, s = inst.n, len(problem.opened)
-    values = np.asarray(lp_solution.values, dtype=float)
-    if layout is None:
-        layout = [(v, j) for v in range(n) for j in range(s)]
-    if len(layout) != values.size:
-        raise ValueError("variable layout does not match the LP solution size")
-    by_client: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (v, j), val in zip(layout, values):
-        by_client[v].append((j, float(val)))
-
-    fixed: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    vals: list[float] = []
-    for v in range(n):
-        if not by_client[v]:
-            raise ValueError(f"client {v} has no variable in the LP layout")
-        j_one, x_one = max(by_client[v], key=lambda e: e[1])
-        if x_one >= 1.0 - INTEGRALITY_TOL:
-            fixed[v] = problem.opened[j_one]
-            continue
-        for j, val in by_client[v]:
-            if val > INTEGRALITY_TOL:
-                pairs.append((v, j))
-                vals.append(val)
-
-    x = np.asarray(vals, dtype=float)
-    t_f = np.zeros(s)
-    t_fi = np.zeros((s, inst.ell))
-    for (v, j), val in zip(pairs, x):
-        t_f[j] += val
-        t_fi[j] += val * inst.membership[v]
-    return RoundingState(
-        problem=problem, fixed=fixed, pairs=pairs, x=x, t_f=t_f, t_fi=t_fi,
-        active_f=np.ones(s, dtype=bool),
-        active_fi=np.ones((s, inst.ell), dtype=bool),
-        t_f0=t_f.copy(), t_fi0=t_fi.copy(), prefixed=frozenset(fixed),
+    s = len(problem.opened)
+    nnz = v.size
+    if math.isinf(problem.p):
+        c, scale_p = np.zeros(nnz), 1.0
+    else:
+        cost, scale_p = _pair_cost(problem)
+        c = cost[v, j]
+    # window g of facility j: g = 0 its load, g = 1 + i its group-i load
+    member = np.concatenate([np.ones((nnz, 1), dtype=bool), inst.membership[v]], axis=1)
+    support = np.zeros((s, inst.ell + 1), dtype=np.int64)
+    np.add.at(support, j, member)
+    windows = np.concatenate([active_f[:, None], active_fi], axis=1) & (support > 0)
+    rank = (np.cumsum(windows) - 1).reshape(windows.shape)
+    loads = np.concatenate([t_f[:, None], t_fi], axis=1)[windows]
+    b_ub = np.stack([-np.floor(loads + _T_SNAP), np.ceil(loads - _T_SNAP)], axis=1).ravel()
+    t, g = np.nonzero(member & windows[j])
+    rows = 2 * rank[j[t], g][:, None] + np.arange(2)
+    data = np.broadcast_to([-1.0, 1.0], rows.shape)
+    clients, client_row = np.unique(v, return_inverse=True)
+    return LpModel(
+        c=c,
+        a_ub=csr_from_coo(rows.ravel(), np.repeat(t, 2), data.ravel(), (b_ub.size, nnz)),
+        b_ub=b_ub,
+        a_eq=csr_from_coo(client_row, np.arange(nnz), np.ones(nnz), (clients.size, nnz)),
+        b_eq=np.ones(clients.size),
+        objective_scale=scale_p,
     )
 
 
-def _build_lp2(state: RoundingState) -> LpModel:
-    """LP2 over the surviving variables: objective as the fair LP, plus
-    floor/ceil load windows for every still-active facility / (facility, group) row."""
-    problem = state.problem
-    inst = problem.instance
-    s = len(problem.opened)
-    if math.isinf(problem.p):
-        cost, scale_p = None, 1.0
-    else:
-        cost, scale_p = _pair_cost(problem)
-    model = LpModel(objective_scale=scale_p)
-    for (v, j) in state.pairs:
-        model.add_variable(0.0, 1.0, 0.0 if cost is None else float(cost[v, j]))
+def _check_conservation(v: np.ndarray, x: np.ndarray, n: int) -> None:
+    """Every client in ``v`` must carry total assignment 1, as its LP row says."""
+    total = np.bincount(v, weights=x, minlength=n)
+    error = np.where(np.bincount(v, minlength=n) > 0, np.abs(total - 1.0), 0.0)
+    worst = int(np.argmax(error))
+    if error[worst] > CONSERVATION_TOL:
+        raise SolverError(f"LP solution assigns client {worst} a total of {total[worst]!r}, "
+                          "not 1; conservation broken")
 
-    col_vars: list[list[int]] = [[] for _ in range(s)]
-    col_clients: list[list[int]] = [[] for _ in range(s)]
-    row_vars: dict[int, list[int]] = {}
-    for idx, (v, j) in enumerate(state.pairs):
-        col_vars[j].append(idx)
-        col_clients[j].append(v)
-        row_vars.setdefault(v, []).append(idx)
 
-    for j in range(s):
-        if not col_vars[j]:
-            continue
-        cols = np.asarray(col_vars[j])
-        ones = np.ones(cols.size)
-        if state.active_f[j]:
-            model.add_constraint(cols, ones, ">=", float(_snap_floor(state.t_f[j])))
-            model.add_constraint(cols, ones, "<=", float(_snap_ceil(state.t_f[j])))
-        member = inst.membership[col_clients[j]]
-        for i in range(inst.ell):
-            if not state.active_fi[j, i]:
-                continue
-            sel = member[:, i]
-            if not sel.any():
-                continue
-            gcols = cols[sel]
-            gones = np.ones(gcols.size)
-            model.add_constraint(gcols, gones, ">=", float(_snap_floor(state.t_fi[j, i])))
-            model.add_constraint(gcols, gones, "<=", float(_snap_ceil(state.t_fi[j, i])))
-    for v, cols in sorted(row_vars.items()):
-        c = np.asarray(cols)
-        model.add_constraint(c, np.ones(c.size), "==", 1.0)
-    return model
+def _split_integral(v: np.ndarray, x: np.ndarray):
+    """Positions of the first variable at 1 of each client, and the mask of
+    variables that stay fractional: nonzero and of a client not fixed."""
+    ones = np.flatnonzero(x >= 1.0 - INTEGRALITY_TOL)
+    _, first = np.unique(v[ones], return_index=True)
+    fix = ones[np.sort(first)]
+    stays = (x > INTEGRALITY_TOL) & ~np.isin(v, v[fix])
+    return fix, stays
+
+
+def _loads(j: np.ndarray, x: np.ndarray, member: np.ndarray, s: int):
+    """Per-facility and per-(facility, group) sums of ``x``, added left to right."""
+    t_fi = np.zeros((s, member.shape[1]))
+    np.add.at(t_fi, j, x[:, None] * member)
+    return np.bincount(j, weights=x, minlength=s), t_fi
 
 
 @dataclass(frozen=True)
@@ -304,110 +234,91 @@ class FairAssignmentResult:
     rounding_iterations: int
     initial_lp_objective: float | None    # sum d^p units; None for p = inf
     lp2_objectives: tuple[float, ...]
-    state: RoundingState
     guess: float | None = None            # p = inf only: the G* radius
 
 
 def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
-                    layout: list[tuple[int, int]] | None = None) -> FairAssignmentResult:
+                    layout: tuple[np.ndarray, np.ndarray] | None = None) -> FairAssignmentResult:
     """Round a basic optimal LP solution to an integral fair-ish assignment.
 
-    The loop: fix integral values, rebuild the floor/ceil window LP over
-    the fractional support, and at each vertex
+    ``layout`` gives the client and opened position of each LP variable as
+    index arrays ``(v, j)``; the default is ``build_fair_lp``'s row-major
+    n x |S| order. The loop: fix integral values, rebuild the floor/ceil
+    window LP over the fractional support, and at each vertex
     delete zeros, fix ones (decrementing the residual loads), then drop any
     per-(facility, group) row and then any per-facility row whose strictly
-    fractional support is at most 2(Delta+1); re-solve and repeat. A pass
-    that makes no progress means the solver returned a non-vertex point and
-    raises SolverError.
+    fractional support is at most 2(Delta+1); re-solve and repeat. Every LP
+    solution must assign each of its clients a total of 1 within
+    CONSERVATION_TOL. A pass that makes no progress means the solver returned
+    a non-vertex point; both failures raise SolverError.
     """
     if lp_solution.status is not LpStatus.OPTIMAL:
         raise ValueError("iterative_round needs an OPTIMAL basic solution")
     inst = problem.instance
-    state = _init_state(problem, lp_solution, layout)
+    n, s = inst.n, len(problem.opened)
+    opened = np.asarray(problem.opened)
+    x = np.asarray(lp_solution.values, dtype=float)
+    v, j = np.divmod(np.arange(n * s), s) if layout is None else map(np.asarray, layout)
+    if v.shape != x.shape or j.shape != x.shape:
+        raise ValueError("variable layout does not match the LP solution size")
+    missing = np.flatnonzero(np.bincount(v, minlength=n) == 0)
+    if missing.size:
+        raise ValueError(f"client {missing[0]} has no variable in the LP layout")
+    _check_conservation(v, x, n)
+
+    phi = np.full(n, -1, dtype=int)
+    fix, stays = _split_integral(v, x)
+    phi[v[fix]] = opened[j[fix]]
+    v, j = v[stays], j[stays]
+    t_f, t_fi = _loads(j, x[stays], inst.membership[v], s)
+    active_f = np.ones(s, dtype=bool)
+    active_fi = np.ones((s, inst.ell), dtype=bool)
     drop_support = 2 * (inst.delta + 1)
     lp2_objectives: list[float] = []
 
-    max_iters = len(state.pairs) + 2 * len(problem.opened) * (inst.ell + 1) + inst.n + 2
-    while state.pairs:
-        if state.iteration >= max_iters:
+    iteration = 0
+    max_iters = v.size + 2 * s * (inst.ell + 1) + n + 2
+    while v.size:
+        if iteration >= max_iters:
             raise SolverError("iterative rounding exceeded its iteration budget")
-        state.iteration += 1
-        model = _build_lp2(state)
-        sol = solve_lp(model)
+        iteration += 1
+        sol = solve_lp(_build_lp2(problem, v, j, t_f, t_fi, active_f, active_fi))
         if sol.status is not LpStatus.OPTIMAL:
             raise SolverError(f"LP2 became {sol.status.value}; rounding invariant broken")
         lp2_objectives.append(sol.objective)
-        state.x = np.asarray(sol.values, dtype=float)
+        _check_conservation(v, sol.values, n)
 
-        keep: list[int] = []
-        newly_fixed: list[tuple[int, int]] = []
-        fixed_clients: set[int] = set()
-        for idx, (v, j) in enumerate(state.pairs):
-            if state.x[idx] <= INTEGRALITY_TOL:
-                continue
-            if state.x[idx] >= 1.0 - INTEGRALITY_TOL and v not in fixed_clients:
-                newly_fixed.append((v, j))
-                fixed_clients.add(v)
-                continue
-            keep.append(idx)
-        for v, j in newly_fixed:
-            state.fixed[v] = problem.opened[j]
-            state.t_f[j] -= 1.0
-            state.t_fi[j] -= inst.membership[v]
-        keep = [idx for idx in keep if state.pairs[idx][0] not in fixed_clients]
-        progressed = len(keep) < len(state.pairs)
-        state.pairs = [state.pairs[idx] for idx in keep]
-        state.x = state.x[keep]
+        fix, stays = _split_integral(v, sol.values)
+        phi[v[fix]] = opened[j[fix]]
+        np.subtract.at(t_f, j[fix], 1.0)
+        np.subtract.at(t_fi, j[fix], inst.membership[v[fix]])
+        progressed = not stays.all()
+        v, j = v[stays], j[stays]
 
         # support of strictly fractional variables per row, post clean-up
-        s = len(problem.opened)
-        sup_f = np.zeros(s, dtype=int)
-        sup_fi = np.zeros((s, inst.ell), dtype=int)
-        for (v, j) in state.pairs:
-            sup_f[j] += 1
-            sup_fi[j] += inst.membership[v]
-        dropped = 0
-        for j in range(s):
-            for i in range(inst.ell):
-                if state.active_fi[j, i] and sup_fi[j, i] <= drop_support:
-                    state.active_fi[j, i] = False
-                    dropped += 1
-        for j in range(s):
-            if state.active_f[j] and sup_f[j] <= drop_support:
-                state.active_f[j] = False
-                dropped += 1
-        progressed = progressed or dropped > 0
-
-        state.history.append({
-            "iteration": state.iteration,
-            "lp2_objective": sol.objective,
-            "fixed_total": len(state.fixed),
-            "surviving_vars": len(state.pairs),
-            "rows_dropped": dropped,
-            "conservation_error": state.conservation_error(),
-        })
-        if not progressed:
-            frac = sorted(state.pairs)
+        sup_f, sup_fi = _loads(j, np.ones(v.size), inst.membership[v], s)
+        drop_fi = active_fi & (sup_fi <= drop_support)
+        drop_f = active_f & (sup_f <= drop_support)
+        active_fi &= ~drop_fi
+        active_f &= ~drop_f
+        if not (progressed or drop_fi.any() or drop_f.any()):
+            frac = sorted(zip(v.tolist(), j.tolist()))
             raise SolverError(
                 "iterative rounding stalled: no variable fixed and no row dropped; "
                 f"fractional support {frac[:20]}{'...' if len(frac) > 20 else ''}"
             )
 
-    if len(state.fixed) != inst.n:
-        missing = sorted(set(range(inst.n)) - set(state.fixed))
-        raise SolverError(f"rounding finished with unassigned clients {missing[:10]}")
-    phi = np.empty(inst.n, dtype=int)
-    for v, f in state.fixed.items():
-        phi[v] = f
+    unassigned = np.flatnonzero(phi < 0)
+    if unassigned.size:
+        raise SolverError(f"rounding finished with unassigned clients {unassigned[:10].tolist()}")
     assignment = Assignment(inst, problem.opened, phi)
     lam = additive_violation(inst, problem.profile, assignment)
     initial_obj = None if math.isinf(problem.p) else lp_solution.objective
     return FairAssignmentResult(
         assignment=assignment, lambda_observed=lam,
-        rounding_iterations=state.iteration,
+        rounding_iterations=iteration,
         initial_lp_objective=initial_obj,
         lp2_objectives=tuple(lp2_objectives),
-        state=state,
     )
 
 
@@ -425,17 +336,15 @@ def fair_assign_k_center(problem: FairAssignmentProblem) -> FairAssignmentResult
         guess = float(np.max(inst.dist_cf[np.arange(inst.n), phi]))
         return FairAssignmentResult(
             assignment=assignment, lambda_observed=0.0, rounding_iterations=0,
-            initial_lp_objective=None, lp2_objectives=(),
-            state=_trivial_state(problem, phi), guess=guess,
+            initial_lp_objective=None, lp2_objectives=(), guess=guess,
         )
 
+    _check_aggregate_ratios(inst, problem.profile)
     values = np.unique(d)
-    # a radius below the largest nearest-facility distance strands a client
+    # a radius below the largest nearest-facility distance strands a client;
+    # the largest radius is feasible once the aggregate ratios pass
     lo = int(np.searchsorted(values, d.min(axis=1).max()))
-    hi = len(values) - 1
-    if not check_feasible(build_fair_feasibility_lp(problem, float(values[hi]))):
-        _raise_infeasible(inst, problem.profile)
-    feasible_idx = hi
+    feasible_idx = len(values) - 1
     while lo < feasible_idx:
         mid = (lo + feasible_idx) // 2
         if check_feasible(build_fair_feasibility_lp(problem, float(values[mid]))):
@@ -444,7 +353,10 @@ def fair_assign_k_center(problem: FairAssignmentProblem) -> FairAssignmentResult
             lo = mid + 1
     guess = float(values[feasible_idx])
     sol = solve_lp(build_fair_feasibility_lp(problem, guess))
-    result = iterative_round(problem, sol, layout=feasible_pairs(problem, guess))
+    if sol.status is not LpStatus.OPTIMAL:
+        raise SolverError(f"feasibility LP at radius {guess!r} ended {sol.status.value}; "
+                          "solver contract violated")
+    result = iterative_round(problem, sol, layout=np.nonzero(d <= guess))
     dmax = float(np.max(d[np.arange(inst.n), [problem.opened.index(f) for f in result.assignment.phi]]))
     if dmax > guess + 1e-9:
         raise SolverError(f"rounded radius {dmax} exceeds feasible guess {guess}")
@@ -452,17 +364,7 @@ def fair_assign_k_center(problem: FairAssignmentProblem) -> FairAssignmentResult
         assignment=result.assignment, lambda_observed=result.lambda_observed,
         rounding_iterations=result.rounding_iterations,
         initial_lp_objective=None, lp2_objectives=result.lp2_objectives,
-        state=result.state, guess=guess,
-    )
-
-
-def _trivial_state(problem: FairAssignmentProblem, phi: np.ndarray) -> RoundingState:
-    s = len(problem.opened)
-    ell = problem.instance.ell
-    return RoundingState(
-        problem=problem, fixed={v: int(f) for v, f in enumerate(phi)},
-        pairs=[], x=np.zeros(0), t_f=np.zeros(s), t_fi=np.zeros((s, ell)),
-        active_f=np.zeros(s, dtype=bool), active_fi=np.zeros((s, ell), dtype=bool),
+        guess=guess,
     )
 
 
@@ -484,15 +386,14 @@ def fair_assignment(problem: FairAssignmentProblem) -> FairAssignmentResult:
         return FairAssignmentResult(
             assignment=assignment, lambda_observed=0.0, rounding_iterations=0,
             initial_lp_objective=obj, lp2_objectives=(),
-            state=_trivial_state(problem, phi),
         )
     if math.isinf(problem.p):
         return fair_assign_k_center(problem)
+    _check_aggregate_ratios(problem.instance, problem.profile)
     sol = solve_lp(build_fair_lp(problem))
-    if sol.status is LpStatus.INFEASIBLE:
-        _raise_infeasible(problem.instance, problem.profile)
     if sol.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"fair LP ended {sol.status.value}")
+        raise SolverError(f"fair LP ended {sol.status.value} though the aggregate ratios "
+                          "admit the proportional solution; solver contract violated")
     return iterative_round(problem, sol)
 
 

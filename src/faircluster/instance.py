@@ -297,9 +297,6 @@ class Assignment:
     def cost_p(self) -> float:
         return lp_norm_cost(self.instance, self.opened, self.phi)
 
-    def cost(self, p: float) -> float:
-        return lp_norm_cost(self.instance, self.opened, self.phi, p)
-
     def clusters(self) -> dict[int, np.ndarray]:
         """facility -> array of assigned client indices (opened facilities only)."""
         return {f: np.flatnonzero(self.phi == f) for f in self.opened}

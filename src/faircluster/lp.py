@@ -1,20 +1,26 @@
-"""Sparse LP modeling with a basic (vertex) solution guarantee.
+"""Array-built LPs solved at a basic (vertex) optimum.
 
-Thin layer over scipy's HiGHS bindings. Iterative rounding needs optima that
-sit at vertices of the feasible polytope, so solves go through the dual
-simplex ('highs-ds'); HiGHS simplex solutions are basic by construction.
+An ``LpModel`` is a frozen minimization LP in ``scipy.optimize.linprog``'s
+own form: objective ``c``, inequality rows ``a_ub @ x <= b_ub`` and equality
+rows ``a_eq @ x == b_eq`` (both CSR), and one ``(lo, hi)`` bound pair shared
+by every variable. Builders assemble each matrix from COO index arrays in one
+call (``csr_from_coo``); ``>=`` rows go into ``a_ub`` negated.
+
+Iterative rounding needs optima that sit at vertices of the feasible polytope,
+so solves go through HiGHS' dual simplex ('highs-ds'); simplex solutions are
+basic by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-FEAS_TOL = 1e-7
 # Values within this of 0/1 are treated as integral when rounding.
 INTEGRALITY_TOL = 1e-6
 
@@ -29,79 +35,70 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass
-class LpModel:
-    """A minimization LP built row by row from sparse constraint data.
+def pow2_scale(dmax: float) -> float:
+    """Power-of-two scale ~ dmax, so scaled distances stay near [0, 1]."""
+    if dmax <= 0:
+        return 1.0
+    return float(2.0 ** math.ceil(math.log2(dmax)))
 
-    ``objective_scale`` rescales the reported objective only (the raw model
-    may carry scaled-down coefficients for conditioning); solution values are
-    never scaled.
+
+def csr_from_coo(rows, cols, data, shape) -> sp.csr_matrix:
+    """CSR matrix from COO triplets, keeping explicit zeros and, within each
+    row, the order in which the entries are given."""
+    rows = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((np.asarray(data, dtype=float)[order],
+                          np.asarray(cols, dtype=np.int64)[order], indptr), shape=shape)
+
+
+@dataclass(frozen=True, eq=False)
+class LpModel:
+    """minimize c @ x  s.t.  a_ub @ x <= b_ub,  a_eq @ x == b_eq,  lo <= x <= hi.
+
+    A missing row block means no rows of that kind. ``objective_scale``
+    rescales the reported objective only (the model may carry scaled-down
+    coefficients for conditioning); solution values are never scaled.
     """
 
-    lo: list[float] = field(default_factory=list)
-    hi: list[float] = field(default_factory=list)
-    obj: list[float] = field(default_factory=list)
-    rows: list[tuple[np.ndarray, np.ndarray, str, float]] = field(default_factory=list)
+    c: np.ndarray
+    a_ub: sp.csr_matrix | None = None
+    b_ub: np.ndarray | None = None
+    a_eq: sp.csr_matrix | None = None
+    b_eq: np.ndarray | None = None
+    bounds: tuple[float, float] = (0.0, 1.0)
     objective_scale: float = 1.0
+
+    def __post_init__(self):
+        c = np.asarray(self.c, dtype=float)
+        if c.ndim != 1:
+            raise ValueError(f"objective must be a vector, got shape {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("objective has non-finite coefficients")
+        object.__setattr__(self, "c", c)
+        for a_name, b_name in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
+            a, b = getattr(self, a_name), getattr(self, b_name)
+            a = sp.csr_matrix((0, c.size)) if a is None else sp.csr_matrix(a, dtype=float)
+            b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
+            if a.shape != (b.size, c.size) or b.ndim != 1:
+                raise ValueError(f"{a_name} has shape {a.shape} but {b_name} has "
+                                 f"{b.size} rows over {c.size} variables")
+            if not (np.all(np.isfinite(a.data)) and np.all(np.isfinite(b))):
+                raise ValueError(f"{a_name}/{b_name} have non-finite coefficients")
+            object.__setattr__(self, a_name, a)
+            object.__setattr__(self, b_name, b)
+        lo, hi = self.bounds
+        if not lo <= hi:
+            raise ValueError(f"bad variable bounds [{lo}, {hi}]")
 
     @property
     def num_vars(self) -> int:
-        return len(self.lo)
+        return self.c.size
 
     @property
     def num_constraints(self) -> int:
-        return len(self.rows)
-
-    def add_variable(self, lo: float = 0.0, hi: float = 1.0, obj: float = 0.0) -> int:
-        if not (np.isfinite(obj) and lo <= hi):
-            raise ValueError(f"bad variable: bounds [{lo}, {hi}], obj {obj}")
-        self.lo.append(lo)
-        self.hi.append(hi)
-        self.obj.append(obj)
-        return len(self.lo) - 1
-
-    def add_constraint(self, indices, coeffs, sense: str, rhs: float) -> int:
-        idx = np.asarray(indices, dtype=int)
-        co = np.asarray(coeffs, dtype=float)
-        if idx.shape != co.shape:
-            raise ValueError("indices and coeffs must align")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
-            raise ValueError("constraint references an undeclared variable")
-        if not np.all(np.isfinite(co)) or not np.isfinite(rhs):
-            raise ValueError("constraint has non-finite coefficients")
-        if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"unknown sense {sense!r}")
-        self.rows.append((idx, co, sense, float(rhs)))
-        return len(self.rows) - 1
-
-    # -- scipy assembly ------------------------------------------------------
-
-    def _assemble(self):
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for idx, co, sense, rhs in self.rows:
-            if sense == "==":
-                eq_rows.append((idx, co))
-                eq_rhs.append(rhs)
-            elif sense == "<=":
-                ub_rows.append((idx, co))
-                ub_rhs.append(rhs)
-            else:
-                ub_rows.append((idx, -co))
-                ub_rhs.append(-rhs)
-
-        def to_csr(row_list):
-            if not row_list:
-                return None
-            data = np.concatenate([co for _, co in row_list])
-            cols = np.concatenate([idx for idx, _ in row_list])
-            rowptr = np.concatenate([[0], np.cumsum([len(idx) for idx, _ in row_list])])
-            return sp.csr_matrix((data, cols, rowptr), shape=(len(row_list), self.num_vars))
-
-        a_ub = to_csr(ub_rows)
-        a_eq = to_csr(eq_rows)
-        bounds = list(zip(self.lo, self.hi))
-        return np.asarray(self.obj), a_ub, (np.asarray(ub_rhs) if ub_rows else None), \
-            a_eq, (np.asarray(eq_rhs) if eq_rows else None), bounds
+        return self.a_ub.shape[0] + self.a_eq.shape[0]
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,6 @@ class LpSolution:
     status: LpStatus
     values: np.ndarray | None
     objective: float | None
-    is_basic: bool
-
-    def fractional_count(self, tol: float = INTEGRALITY_TOL) -> int:
-        """Number of variables strictly inside (tol, 1 - tol)."""
-        v = self.values
-        return int(np.count_nonzero((v > tol) & (v < 1.0 - tol)))
 
 
 _STATUS_MAP = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
@@ -127,23 +118,21 @@ def solve_lp(model: LpModel) -> LpSolution:
     INFEASIBLE / UNBOUNDED are exact classifications; anything else that is
     not OPTIMAL raises SolverError with the backend diagnostics.
     """
-    c, a_ub, b_ub, a_eq, b_eq, bounds = model._assemble()
     last = None
     for method in ("highs-ds", "highs"):
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method=method)
+        res = linprog(model.c, A_ub=model.a_ub, b_ub=model.b_ub, A_eq=model.a_eq,
+                      b_eq=model.b_eq, bounds=model.bounds, method=method)
         last = res
         if res.status in _STATUS_MAP:
             status = _STATUS_MAP[res.status]
             if status is not LpStatus.OPTIMAL:
-                return LpSolution(status=status, values=None, objective=None, is_basic=False)
+                return LpSolution(status=status, values=None, objective=None)
             values = np.asarray(res.x, dtype=float)
             values.setflags(write=False)
             return LpSolution(
                 status=LpStatus.OPTIMAL,
                 values=values,
                 objective=float(res.fun) * model.objective_scale,
-                is_basic=True,
             )
     raise SolverError(
         f"LP solve failed: status={last.status} message={last.message!r} "
@@ -153,28 +142,5 @@ def solve_lp(model: LpModel) -> LpSolution:
 
 def check_feasible(model: LpModel) -> bool:
     """Whether the constraint system admits a feasible point (phase-1 test)."""
-    probe = LpModel(lo=list(model.lo), hi=list(model.hi),
-                    obj=[0.0] * model.num_vars, rows=list(model.rows))
-    sol = solve_lp(probe)
+    sol = solve_lp(replace(model, c=np.zeros(model.num_vars)))
     return sol.status is LpStatus.OPTIMAL
-
-
-def write_lp_text(model: LpModel, path) -> None:
-    """Debug dump in CPLEX LP text format for cross-checking with external solvers."""
-    def term(coef, j, first):
-        sign = "-" if coef < 0 else ("" if first else "+")
-        return f" {sign} {abs(coef):.17g} x{j}" if not first else f" {sign}{abs(coef):.17g} x{j}"
-
-    lines = ["Minimize", " obj:" + "".join(
-        term(c, j, j == 0) for j, c in enumerate(model.obj))]
-    lines.append("Subject To")
-    op = {"<=": "<=", ">=": ">=", "==": "="}
-    for r, (idx, co, sense, rhs) in enumerate(model.rows):
-        body = "".join(term(c, j, i == 0) for i, (j, c) in enumerate(zip(idx, co)))
-        lines.append(f" c{r}:{body} {op[sense]} {rhs:.17g}")
-    lines.append("Bounds")
-    for j, (lo, hi) in enumerate(zip(model.lo, model.hi)):
-        lines.append(f" {lo:.17g} <= x{j} <= {hi:.17g}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import ClusteringInstance, FairnessProfile
-from .lp import LpModel, LpStatus, SolverError, solve_lp
+from .lp import LpModel, LpStatus, SolverError, csr_from_coo, pow2_scale, solve_lp
 
 DEFAULT_GUARD = 10_000_000
 _CHUNK = 1 << 15
@@ -233,32 +233,35 @@ def almost_fair_lp(instance: ClusteringInstance, profile: FairnessProfile,
         raise ValueError("the almost-fair LP needs finite p")
     n, m, k = instance.n, instance.m, instance.k
     d = instance.dist_cf
-    dmax = float(d.max())
-    scale = 2.0 ** math.ceil(math.log2(dmax)) if dmax > 0 else 1.0
-    cost = (d / scale) ** p
-
-    model = LpModel(objective_scale=scale**p)
-    # x variables first (v major), then y
-    for v in range(n):
-        for f in range(m):
-            model.add_variable(0.0, 1.0, float(cost[v, f]))
-    y0 = model.num_vars
-    for _ in range(m):
-        model.add_variable(0.0, 1.0, 0.0)
-
-    for v in range(n):
-        model.add_constraint(np.arange(v * m, (v + 1) * m), np.ones(m), "==", 1.0)
-    for v in range(n):
-        for f in range(m):
-            model.add_constraint([v * m + f, y0 + f], [1.0, -1.0], "<=", 0.0)
-    model.add_constraint(np.arange(y0, y0 + m), np.ones(m), "<=", float(k))
-    mem = instance.membership
-    for f in range(m):
-        cols = np.arange(f, n * m, m)
-        for i in range(instance.ell):
-            mi = mem[:, i].astype(float)
-            model.add_constraint(cols, mi - profile.alpha[i], "<=", lam)
-            model.add_constraint(cols, profile.beta[i] - mi, "<=", lam)
+    scale = pow2_scale(float(d.max()))
+    ell = instance.ell
+    nx = n * m
+    # variables: x_{v,f} at v * m + f (v major), then y_f at nx + f
+    x_idx = np.arange(nx)
+    y_of_x = nx + x_idx % m
+    member = instance.membership.astype(float)
+    # <= rows: x_{v,f} - y_f (one per pair), sum_f y_f, then two ratio rows
+    # per (facility, group), facility-major, over that facility's column
+    ratio_rows = nx + 1 + 2 * (ell * (x_idx % m)[:, None, None]
+                               + np.arange(ell)[:, None]) + np.arange(2)
+    ratio_data = np.stack([member - np.asarray(profile.alpha),
+                           np.asarray(profile.beta) - member], axis=2)[x_idx // m]
+    rows = np.concatenate([np.repeat(x_idx, 2), np.full(m, nx), ratio_rows.ravel()])
+    cols = np.concatenate([np.stack([x_idx, y_of_x], axis=1).ravel(), nx + np.arange(m),
+                           np.broadcast_to(x_idx[:, None, None], ratio_rows.shape).ravel()])
+    data = np.concatenate([np.tile([1.0, -1.0], nx), np.ones(m), ratio_data.ravel()])
+    n_ub = nx + 1 + 2 * m * ell
+    b_ub = np.full(n_ub, float(lam))
+    b_ub[:nx] = 0.0
+    b_ub[nx] = float(k)
+    model = LpModel(
+        c=np.concatenate([((d / scale) ** p).ravel(), np.zeros(m)]),
+        a_ub=csr_from_coo(rows, cols, data, (n_ub, nx + m)),
+        b_ub=b_ub,
+        a_eq=csr_from_coo(x_idx // m, x_idx, np.ones(nx), (n, nx + m)),
+        b_eq=np.ones(n),
+        objective_scale=scale**p,
+    )
 
     sol = solve_lp(model)
     if sol.status is not LpStatus.OPTIMAL:

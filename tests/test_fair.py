@@ -21,8 +21,9 @@ from faircluster import (
     nearest_assignment,
     solve_lp,
 )
+import faircluster.fair as fair_module
 from faircluster.fair import FairAssignmentProblem
-from faircluster.lp import LpStatus
+from faircluster.lp import LpSolution, LpStatus, SolverError
 from faircluster.vanilla import SolverId, default_solver_for, solve_vanilla
 
 from util import (
@@ -121,9 +122,8 @@ class TestIterativeRound:
             assert cost_p <= sol.objective + 1e-6 * max(1.0, sol.objective)
             opt, _ = slow_fair_assignment_opt(inst, list(opened), prof, p=problem.p)
             assert res.assignment.cost_p <= opt + 1e-7 * max(1.0, opt)
-            # conservation and monotone LP2 objectives from the recorded history
-            for h in res.state.history:
-                assert h["conservation_error"] <= 1e-6
+            # monotone LP2 objectives (iterative_round itself raises when an
+            # LP solution breaks client conservation)
             objs = res.lp2_objectives
             for a, b in zip(objs, objs[1:]):
                 assert b <= a + 1e-7 * max(1.0, abs(a))
@@ -145,20 +145,21 @@ class TestIterativeRound:
             if sol.status is not LpStatus.OPTIMAL:
                 continue
             res = iterative_round(problem, sol)
-            state = res.state
-            if not state.prefixed and state.t_f0 is None:
-                continue
             checked += 1
             slack = 2 * inst.delta + 1
-            loose = [v for v in range(inst.n) if v not in state.prefixed]
+            # clients integral in the LP are fixed before the loop; the others'
+            # nonzero values make up the initial loads T0
+            x = np.asarray(sol.values).reshape(inst.n, len(opened))
+            loose = [v for v in range(inst.n) if x[v].max() < 1.0 - 1e-6]
             for pos, f in enumerate(opened):
                 load = sum(1 for v in loose if res.assignment.phi[v] == f)
-                t0 = state.t_f0[pos]
+                t0 = sum(x[v, pos] for v in loose if x[v, pos] > 1e-6)
                 assert math.floor(t0 + 1e-7) - slack <= load <= math.ceil(t0 - 1e-7) + slack
                 for i in range(inst.ell):
                     gload = sum(1 for v in loose
                                 if res.assignment.phi[v] == f and inst.membership[v, i])
-                    g0 = state.t_fi0[pos, i]
+                    g0 = sum(x[v, pos] for v in loose
+                             if x[v, pos] > 1e-6 and inst.membership[v, i])
                     assert math.floor(g0 + 1e-7) - slack <= gload <= math.ceil(g0 - 1e-7) + slack
         assert checked >= 10
 
@@ -192,6 +193,69 @@ class TestIterativeRound:
         n_rows = 2 * 3 * (inst.ell + 1) + inst.n
         assert res.rounding_iterations <= n_vars + n_rows
 
+
+
+class TestRuntimeChecks:
+    def _fractional_problem(self):
+        # a cell whose fair LP optimum is fractional, so rounding solves LP2s
+        rng = np.random.default_rng(31)
+        inst = random_euclidean_instance(rng, n=12, m=5, k=3, p=1.0)
+        problem = FairAssignmentProblem(inst, (0, 1, 2), delta_to_profile(inst, 0.0))
+        sol = solve_lp(build_fair_lp(problem))
+        assert iterative_round(problem, sol).rounding_iterations >= 1
+        return problem, sol
+
+    @staticmethod
+    def _halve_first_client(sol, layout_clients):
+        values = np.array(sol.values)
+        values[layout_clients == layout_clients[0]] *= 0.5
+        return LpSolution(status=LpStatus.OPTIMAL, values=values, objective=sol.objective)
+
+    def test_initial_solution_breaking_conservation_raises(self):
+        problem, sol = self._fractional_problem()
+        clients = np.arange(sol.values.size) // len(problem.opened)
+        with pytest.raises(SolverError, match="conservation"):
+            iterative_round(problem, self._halve_first_client(sol, clients))
+
+    def test_lp2_vertex_breaking_conservation_raises(self, monkeypatch):
+        problem, sol = self._fractional_problem()
+        seen = []
+
+        real_solve = fair_module.solve_lp
+
+        def doctored(model):
+            seen.append(model.num_vars)
+            # the equality rows are the assignment rows, one per client
+            clients = model.a_eq.tocsc().indices
+            return self._halve_first_client(real_solve(model), clients)
+
+        monkeypatch.setattr(fair_module, "solve_lp", doctored)
+        with pytest.raises(SolverError, match="conservation"):
+            iterative_round(problem, sol)
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_aggregate_ratios_rejected_before_any_lp(self, p, monkeypatch):
+        inst = fixed_instance(p=p, n=8, m=3, k=2, seed=9, delta_overlap=1)
+        beta = [0.0] * inst.ell
+        beta[1] = min(1.0, inst.group_ratios[1] + 0.3)
+        prof = FairnessProfile((1.0,) * inst.ell, tuple(beta))
+
+        def no_lp(model):
+            raise AssertionError("an LP was solved before the aggregate check")
+
+        monkeypatch.setattr(fair_module, "solve_lp", no_lp)
+        monkeypatch.setattr(fair_module, "check_feasible", no_lp)
+        with pytest.raises(FairnessInfeasibleError, match="group 1"):
+            fair_assignment(FairAssignmentProblem(inst, (0, 1), prof))
+
+    def test_infeasible_lp_after_the_check_is_a_solver_error(self, monkeypatch):
+        inst = fixed_instance(p=2.0, n=8, m=3, k=2, seed=9)
+        problem = FairAssignmentProblem(inst, (0, 1), delta_to_profile(inst, 0.2))
+        monkeypatch.setattr(fair_module, "solve_lp", lambda model: LpSolution(
+            status=LpStatus.INFEASIBLE, values=None, objective=None))
+        with pytest.raises(SolverError, match="contract"):
+            fair_assignment(problem)
 
 class TestKCenterPath:
     def test_vacuous_guess_is_max_nearest(self):
