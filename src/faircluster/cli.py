@@ -43,7 +43,6 @@ def _load(args) -> "ExperimentConfig":  # noqa: F821 - doc only
         overrides.append(f"jobs={args.jobs}")
     if getattr(args, "L", None) is not None:
         overrides.append(f"L={args.L}")
-        overrides.append("lb_mode=true")
     if overrides:
         config = apply_overrides(config, overrides)
     return config
@@ -83,8 +82,6 @@ def main(argv=None) -> int:
             print(f"oracle report: {path}")
             return 0
         if args.command == "lb":
-            if config.L is None:
-                raise ConfigError("lb needs --L or an L field in the config")
             path = run_lb(config)
             print(f"lb report: {path}")
             return 0

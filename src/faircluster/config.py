@@ -40,12 +40,10 @@ class ExperimentConfig:
     seed: int = 0
     solver_id: str | None = None
     output_dir: str = "out"
-    validate_metric: bool = False
     standardize: bool = False
     run_aflp: bool = False
     run_oracle: bool = False
-    lb_mode: bool = False
-    L: int | None = None
+    L: int | None = None  # minimum cluster size of the lower-bounded mode
     jobs: int = 1
 
     def __post_init__(self):
@@ -62,8 +60,8 @@ class ExperimentConfig:
                 continue
             if not isinstance(d, (int, float)) or not (0.0 <= float(d) < 1.0):
                 raise ConfigError(f"delta value {d!r} must be in [0, 1) or 'vacuous'")
-        if self.lb_mode and (self.L is None or self.L < 1):
-            raise ConfigError("lb_mode requires a positive L")
+        if self.L is not None and self.L < 1:
+            raise ConfigError(f"L must be >= 1, got {self.L}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -94,13 +92,10 @@ def _parse_attributes(raw) -> tuple[SensitiveAttribute, ...]:
     return tuple(out)
 
 
-_FIELD_NAMES = None  # populated lazily
+_FIELD_NAMES = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    global _FIELD_NAMES
-    if _FIELD_NAMES is None:
-        _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
     unknown = set(data) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown config fields {sorted(unknown)}")

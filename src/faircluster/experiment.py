@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .fair import fair_clustering
 from .ingest import IngestResult, ingest
 from .instance import FairnessProfile, delta_to_profile
@@ -60,6 +60,17 @@ def _json_safe(x):
     if isinstance(x, np.generic):
         return x.item()
     return x
+
+
+def _write_json(outdir, name: str, payload: dict) -> Path:
+    """Write ``payload`` as indented, key-sorted JSON to ``outdir/name``."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / name
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def _resolve_solver(config: ExperimentConfig) -> SolverId:
@@ -106,14 +117,14 @@ def _run_cell(instance, config: ExperimentConfig, k: int, delta, solver: SolverI
             "timings_ms": dict(report.timings_ms),
         })
         if run.fair.initial_lp_objective is not None:
-            floor = run.fair.initial_lp_objective ** (1.0 / config.p)
+            floor = run.fair.initial_lp_objective ** (1.0 / inst.p)
             if fair_cost < floor - 1e-6 * max(1.0, floor):
                 # rounding may legitimately undercut the fair LP once windows
                 # replace the ratio rows; report it rather than fail
                 cell["warnings"].append(
                     f"fair cost {fair_cost:.6g} below LP floor {floor:.6g}"
                 )
-        if config.run_aflp and not math.isinf(config.p):
+        if config.run_aflp and not math.isinf(inst.p):
             cell["aflp_cost"] = almost_fair_lp(inst, profile, lam=report.lambda_max)
         if config.run_oracle:
             try:
@@ -158,9 +169,6 @@ def run_experiment(config: ExperimentConfig, ingest_result: IngestResult | None 
     else:
         cells = [_run_cell(instance, config, k, d, solver) for k, d in grid]
 
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     report = {
         "config": _json_safe({
             "dataset_path": config.dataset_path,
@@ -186,10 +194,8 @@ def run_experiment(config: ExperimentConfig, ingest_result: IngestResult | None 
         },
         "cells": [_json_safe(c) for c in cells],
     }
-    report_path = outdir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report_path = _write_json(config.output_dir, "report.json", report)
+    outdir = Path(config.output_dir)
 
     cells_path = outdir / "cells.csv"
     with open(cells_path, "w") as fh:
@@ -219,11 +225,12 @@ def run_experiment(config: ExperimentConfig, ingest_result: IngestResult | None 
     )
 
 
-def run_lb(config: ExperimentConfig, L: int | None = None) -> Path:
-    """Lower-bounded clustering over the configured k grid; writes lb_report.json."""
-    L = config.L if L is None else L
-    if L is None or L < 1:
-        raise ValueError("lower-bounded mode needs a positive L")
+def run_lb(config: ExperimentConfig) -> Path:
+    """Lower-bounded clustering over the configured k grid with minimum
+    cluster size ``config.L``; writes lb_report.json."""
+    L = config.L
+    if L is None:
+        raise ConfigError("lower-bounded mode needs --L or an L field in the config")
     ing = ingest(config)
     solver = _resolve_solver(config)
     rows = []
@@ -244,13 +251,8 @@ def run_lb(config: ExperimentConfig, L: int | None = None) -> Path:
             })
         except Exception as exc:  # noqa: BLE001
             rows.append({"k": k, "L": L, "status": f"failed: {exc}"})
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "lb_report.json"
-    with open(path, "w") as fh:
-        json.dump({"rows": [_json_safe(r) for r in rows]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write_json(config.output_dir, "lb_report.json",
+                       {"rows": [_json_safe(r) for r in rows]})
 
 
 def run_oracle(config: ExperimentConfig) -> Path:
@@ -268,10 +270,5 @@ def run_oracle(config: ExperimentConfig) -> Path:
                              "opt_vnll": orc.opt_vnll, "opt_fair": orc.opt_fair})
             except GuardExceededError as exc:
                 rows.append({"k": k, "delta": d, "status": f"skipped: {exc}"})
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "oracle_report.json"
-    with open(path, "w") as fh:
-        json.dump({"rows": [_json_safe(r) for r in rows]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write_json(config.output_dir, "oracle_report.json",
+                       {"rows": [_json_safe(r) for r in rows]})

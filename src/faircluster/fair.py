@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .instance import (
     FairnessProfile,
     FairnessReport,
     additive_violation,
+    bottleneck_search,
     build_report,
     nearest_assignment,
 )
@@ -73,12 +74,15 @@ def _check_aggregate_ratios(instance: ClusteringInstance, profile: FairnessProfi
 
 @dataclass(frozen=True)
 class FairAssignmentProblem:
-    """Fair p-assignment instance: clients of ``instance`` against fixed centers."""
+    """Fair p-assignment instance: clients of ``instance`` against fixed centers.
+
+    The norm is the instance's: ``p`` reads ``instance.p``, and a problem in
+    another norm is built on ``instance.with_p(...)``.
+    """
 
     instance: ClusteringInstance
     opened: tuple[int, ...]
     profile: FairnessProfile
-    p: float | None = None
 
     def __post_init__(self):
         opened = tuple(sorted(dict.fromkeys(self.opened)))
@@ -89,8 +93,10 @@ class FairAssignmentProblem:
             raise ValueError("opened contains an unknown facility")
         if len(self.profile) != self.instance.ell:
             raise ValueError("profile length must match the number of groups")
-        if self.p is None:
-            object.__setattr__(self, "p", self.instance.p)
+
+    @property
+    def p(self) -> float:
+        return self.instance.p
 
     @property
     def dist(self) -> np.ndarray:
@@ -324,48 +330,25 @@ def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
 
 def fair_assign_k_center(problem: FairAssignmentProblem) -> FairAssignmentResult:
     """Bottleneck fair assignment: binary search the smallest fractionally
-    feasible radius G* over the client-facility distance multiset, then round
-    any feasible vertex at G*. Every assigned distance ends up <= G*."""
+    feasible radius G* over the client-facility distance multiset (each probe
+    one feasibility LP), then round the feasible vertex found at G*. Every
+    assigned distance ends up <= G*, which the result carries as ``guess``."""
     if not math.isinf(problem.p):
         raise ValueError("fair_assign_k_center is the p = inf path")
-    inst = problem.instance
+    _check_aggregate_ratios(problem.instance, problem.profile)
     d = problem.dist
-    if problem.profile.is_vacuous:
-        phi = nearest_assignment(inst, problem.opened)
-        assignment = Assignment(inst, problem.opened, phi)
-        guess = float(np.max(inst.dist_cf[np.arange(inst.n), phi]))
-        return FairAssignmentResult(
-            assignment=assignment, lambda_observed=0.0, rounding_iterations=0,
-            initial_lp_objective=None, lp2_objectives=(), guess=guess,
-        )
-
-    _check_aggregate_ratios(inst, problem.profile)
-    values = np.unique(d)
-    # a radius below the largest nearest-facility distance strands a client;
     # the largest radius is feasible once the aggregate ratios pass
-    lo = int(np.searchsorted(values, d.min(axis=1).max()))
-    feasible_idx = len(values) - 1
-    while lo < feasible_idx:
-        mid = (lo + feasible_idx) // 2
-        if check_feasible(build_fair_feasibility_lp(problem, float(values[mid]))):
-            feasible_idx = mid
-        else:
-            lo = mid + 1
-    guess = float(values[feasible_idx])
-    sol = solve_lp(build_fair_feasibility_lp(problem, guess))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"feasibility LP at radius {guess!r} ended {sol.status.value}; "
-                          "solver contract violated")
+    guess, sol = bottleneck_search(
+        d, lambda radius: check_feasible(build_fair_feasibility_lp(problem, radius)))
+    if sol is None:
+        raise SolverError(f"feasibility LP at the largest radius {guess!r} is infeasible "
+                          "though the aggregate ratios pass; solver contract violated")
     result = iterative_round(problem, sol, layout=np.nonzero(d <= guess))
-    dmax = float(np.max(d[np.arange(inst.n), [problem.opened.index(f) for f in result.assignment.phi]]))
+    pos = np.searchsorted(problem.opened, result.assignment.phi)
+    dmax = float(np.max(d[np.arange(problem.instance.n), pos]))
     if dmax > guess + 1e-9:
         raise SolverError(f"rounded radius {dmax} exceeds feasible guess {guess}")
-    return FairAssignmentResult(
-        assignment=result.assignment, lambda_observed=result.lambda_observed,
-        rounding_iterations=result.rounding_iterations,
-        initial_lp_objective=None, lp2_objectives=result.lp2_objectives,
-        guess=guess,
-    )
+    return replace(result, guess=guess)
 
 
 def fair_assignment(problem: FairAssignmentProblem) -> FairAssignmentResult:
@@ -373,19 +356,19 @@ def fair_assignment(problem: FairAssignmentProblem) -> FairAssignmentResult:
 
     Vacuous profiles short-circuit to the nearest assignment (the LP optimum
     is integral and separable in that case, and this keeps tie-breaking
-    aligned with the vanilla solver).
+    aligned with the vanilla solver); for p = inf its radius is the largest
+    nearest-center distance.
     """
     if problem.profile.is_vacuous:
         inst = problem.instance
         phi = nearest_assignment(inst, problem.opened)
-        assignment = Assignment(inst, problem.opened, phi)
-        obj = None
-        if not math.isinf(problem.p):
-            dsel = inst.dist_cf[np.arange(inst.n), phi]
-            obj = float(np.sum(dsel**problem.p))
+        dsel = inst.dist_cf[np.arange(inst.n), phi]
+        bottleneck = math.isinf(problem.p)
         return FairAssignmentResult(
-            assignment=assignment, lambda_observed=0.0, rounding_iterations=0,
-            initial_lp_objective=obj, lp2_objectives=(),
+            assignment=Assignment(inst, problem.opened, phi), lambda_observed=0.0,
+            rounding_iterations=0,
+            initial_lp_objective=None if bottleneck else float(np.sum(dsel**problem.p)),
+            lp2_objectives=(), guess=float(dsel.max()) if bottleneck else None,
         )
     if math.isinf(problem.p):
         return fair_assign_k_center(problem)

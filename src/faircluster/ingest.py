@@ -1,7 +1,8 @@
 """Dataset ingestion: delimited text -> ClusteringInstance.
 
 Delimiter (comma or semicolon) is auto-detected from the header line. Rows
-with missing or non-numeric coordinate values are dropped and counted. Each
+with missing, NaN or non-numeric coordinate values are dropped and counted;
+an infinite coordinate is an error that names its line. Each
 sensitive attribute contributes one protected group per distinct value (or
 per mapped group name when a value->name mapping is configured), so two
 attributes give every record exactly two group memberships (Delta = 2).
@@ -10,6 +11,7 @@ attributes give every record exactly two group memberships (Delta = 2).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +27,6 @@ class IngestResult:
     group_names: tuple[str, ...]
     rows_total: int
     rows_dropped: int
-    rows_subsampled_from: int
 
 
 def _detect_delimiter(header_line: str) -> str:
@@ -66,6 +67,8 @@ def ingest(config: ExperimentConfig) -> IngestResult:
             if any(x != x for x in xs):  # NaN coordinates count as missing
                 dropped += 1
                 continue
+            if any(math.isinf(x) for x in xs):
+                raise ConfigError(f"{path} line {reader.line_num}: infinite coordinate {xs}")
             vals = [(row[a.column] or "").strip() for a in config.sensitive_attributes]
             if any(v == "" for v in vals):
                 dropped += 1
@@ -118,15 +121,9 @@ def ingest(config: ExperimentConfig) -> IngestResult:
     k0 = max(config.k_values)
     if k0 > len(points):
         raise ConfigError(f"k={k0} exceeds the {len(points)} usable rows")
-    instance = ClusteringInstance.from_points(points, groups, k=k0, p=config.p)
-    if config.validate_metric:
-        # coordinate instances are Euclidean by construction; the flag is a
-        # no-op here but kept for explicit-matrix ingestion paths
-        pass
     return IngestResult(
-        instance=instance,
+        instance=ClusteringInstance.from_points(points, groups, k=k0, p=config.p),
         group_names=tuple(group_names),
         rows_total=total,
         rows_dropped=dropped,
-        rows_subsampled_from=kept,
     )

@@ -15,8 +15,6 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import cdist
 
-INFINITY = math.inf
-
 # Distance-matrix sanity checks use this tolerance; triangle validation is
 # O(N^3) and therefore skipped by default above this many points.
 METRIC_TOL = 1e-9
@@ -95,8 +93,15 @@ class ClusteringInstance:
         if pts.ndim != 2:
             raise ValueError("points must be a 2-D coordinate array")
         fac = None if facility_points is None else _frozen_array(facility_points)
-        if fac is not None and fac.shape[1] != pts.shape[1]:
+        if fac is not None and (fac.ndim != 2 or fac.shape[1] != pts.shape[1]):
             raise ValueError("facility coordinates have mismatched dimension")
+        for name, coords in (("points", pts), ("facility_points", fac)):
+            if coords is None:
+                continue
+            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{name} row {bad[0]} has a non-finite coordinate: "
+                                 f"{coords[bad[0]].tolist()}")
         return cls(k=k, p=float(p), groups=tuple(frozenset(g) for g in groups),
                    points=pts, facility_points=fac)
 
@@ -244,14 +249,14 @@ def delta_to_profile(instance: ClusteringInstance, delta: float) -> FairnessProf
     return FairnessProfile(alpha=alpha, beta=beta)
 
 
-def lp_norm_cost(instance: ClusteringInstance, opened, phi, p=None) -> float:
-    """l_p objective of an assignment: (sum_v d(v, phi(v))^p)^(1/p), or max for p = inf.
+def lp_norm_cost(instance: ClusteringInstance, opened, phi) -> float:
+    """l_p objective of an assignment in the instance norm:
+    (sum_v d(v, phi(v))^p)^(1/p), or max for p = inf.
 
     ``phi`` maps every client index to an opened facility index. Finite-p
     accumulation goes through math.fsum (exact compensated summation).
     """
-    if p is None:
-        p = instance.p
+    p = instance.p
     opened = np.asarray(sorted(opened), dtype=int)
     phi = np.asarray(phi, dtype=int)
     if phi.shape != (instance.n,):
@@ -301,8 +306,17 @@ class Assignment:
         """facility -> array of assigned client indices (opened facilities only)."""
         return {f: np.flatnonzero(self.phi == f) for f in self.opened}
 
+    def group_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per opened facility, in ``opened`` order: the cluster sizes (|S|,)
+        and the per-group member counts (|S|, ell). Empty clusters count 0."""
+        s, ell = len(self.opened), self.instance.ell
+        pos = np.searchsorted(self.opened, self.phi)
+        v, i = np.nonzero(self.instance.membership)
+        counts = np.bincount(pos[v] * ell + i, minlength=s * ell).reshape(s, ell)
+        return np.bincount(pos, minlength=s), counts
+
     def cluster_sizes(self) -> dict[int, int]:
-        return {f: int((self.phi == f).sum()) for f in self.opened}
+        return dict(zip(self.opened, self.group_counts()[0].tolist()))
 
 
 def nearest_assignment(instance: ClusteringInstance, opened) -> np.ndarray:
@@ -312,6 +326,32 @@ def nearest_assignment(instance: ClusteringInstance, opened) -> np.ndarray:
     return opened[np.argmin(sub, axis=1)]
 
 
+def bottleneck_search(d: np.ndarray, probe):
+    """Smallest entry r of the (clients x centers) distance matrix ``d`` at
+    which ``probe(r)`` returns a witness rather than None; ``probe`` must be
+    monotone in r.
+
+    Binary search over the distinct entries of ``d``. Radii below
+    max_v min_j d(v, j) strand a client and are never probed; the largest
+    entry is probed only when nothing smaller succeeds. Returns
+    (radius, witness), the witness None only when even that probe fails.
+    """
+    values = np.unique(d)
+    lo = int(np.searchsorted(values, d.min(axis=1).max()))
+    hi = len(values) - 1
+    witness = None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = probe(float(values[mid]))
+        if found is None:
+            lo = mid + 1
+        else:
+            witness, hi = found, mid
+    if witness is None:
+        witness = probe(float(values[hi]))
+    return float(values[hi]), witness
+
+
 def balance(instance: ClusteringInstance, assignment: Assignment) -> dict[int, float]:
     """Per-cluster balance in [0, 1]; 1 means exact proportional representation.
 
@@ -319,21 +359,15 @@ def balance(instance: ClusteringInstance, assignment: Assignment) -> dict[int, f
     a cluster missing a represented group entirely (r_i(f) = 0 with r_i > 0)
     scores 0. Empty clusters are skipped.
     """
+    sizes, counts = assignment.group_counts()
+    live = sizes > 0
+    share = counts[live] / sizes[live, None]
     r = instance.group_ratios
-    out: dict[int, float] = {}
-    for f, members in assignment.clusters().items():
-        size = len(members)
-        if size == 0:
-            continue
-        b = 1.0
-        for i in range(instance.ell):
-            rif = instance.membership[members, i].sum() / size
-            if rif == 0.0:
-                b = 0.0
-                break
-            b = min(b, r[i] / rif, rif / r[i])
-        out[f] = float(b)
-    return out
+    with np.errstate(divide="ignore"):
+        b = np.minimum(r / share, share / r).min(axis=1, initial=1.0)
+    b[(share == 0.0).any(axis=1)] = 0.0
+    opened = [f for f, keep in zip(assignment.opened, live) if keep]
+    return dict(zip(opened, b.tolist()))
 
 
 def additive_violation(instance: ClusteringInstance, profile: FairnessProfile,
@@ -341,19 +375,14 @@ def additive_violation(instance: ClusteringInstance, profile: FairnessProfile,
     """Smallest lambda >= 0 such that every (cluster, group) pair satisfies
     beta_i |C(f)| - lambda <= |C_i(f)| <= alpha_i |C(f)| + lambda.
 
-    Empty clusters satisfy both sides vacuously and are skipped.
+    Empty clusters satisfy both sides vacuously.
     """
     if len(profile) != instance.ell:
         raise ValueError("profile length does not match number of groups")
-    lam = 0.0
-    for f, members in assignment.clusters().items():
-        size = len(members)
-        if size == 0:
-            continue
-        for i in range(instance.ell):
-            cnt = int(instance.membership[members, i].sum())
-            lam = max(lam, cnt - profile.alpha[i] * size, profile.beta[i] * size - cnt)
-    return float(max(0.0, lam))
+    sizes, counts = assignment.group_counts()
+    over = counts - np.asarray(profile.alpha) * sizes[:, None]
+    under = np.asarray(profile.beta) * sizes[:, None] - counts
+    return float(max(0.0, over.max(), under.max()))
 
 
 @dataclass(frozen=True)
@@ -389,16 +418,12 @@ def build_report(instance: ClusteringInstance, profile: FairnessProfile,
         cof = fair_cost / vanilla_cost
     else:
         cof = 1.0 if fair_cost == 0 else None
-    clusters = assignment.clusters()
-    group_counts = {
-        f: tuple(int(instance.membership[mem, i].sum()) for i in range(instance.ell))
-        for f, mem in clusters.items()
-    }
+    sizes, counts = assignment.group_counts()
     return FairnessReport(
         n=instance.n,
         group_sizes=tuple(int(s) for s in instance.membership.sum(axis=0)),
-        cluster_sizes={f: len(mem) for f, mem in clusters.items()},
-        group_counts=group_counts,
+        cluster_sizes=dict(zip(assignment.opened, sizes.tolist())),
+        group_counts=dict(zip(assignment.opened, map(tuple, counts.tolist()))),
         balance=balance(instance, assignment),
         lambda_max=additive_violation(instance, profile, assignment),
         cost_of_fairness=cof,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .instance import Assignment, ClusteringInstance
+from .instance import Assignment, ClusteringInstance, bottleneck_search
 from .vanilla import SolverId, VanillaSolution, default_solver_for, solve_vanilla
 
 SUBSET_ENUMERATION_CAP = 20
@@ -47,17 +47,17 @@ def _assign_slots(fac: np.ndarray, near: np.ndarray, slot_cost: np.ndarray,
     return phi, slot_cost[cols, rows // L].sum()
 
 
-def min_cost_lb_matching(instance: ClusteringInstance, facilities, L: int,
-                         p: float | None = None) -> tuple[np.ndarray, float] | None:
+def min_cost_lb_matching(instance: ClusteringInstance, facilities,
+                         L: int) -> tuple[np.ndarray, float] | None:
     """Minimum-cost assignment of all clients to ``facilities`` where every
-    facility receives at least L clients; edge costs are d(v,f)^p.
+    facility receives at least L clients; edge costs are d(v,f)^p in the
+    instance norm.
 
     Returns (phi over all clients, total cost^p), or None when infeasible
     (exactly when L * |facilities| > n). Finite p only; the bottleneck case
     goes through lb_clustering's radius search.
     """
-    if p is None:
-        p = instance.p
+    p = instance.p
     if math.isinf(p):
         raise ValueError("min_cost_lb_matching needs finite p")
     fac = np.asarray(sorted(dict.fromkeys(int(f) for f in facilities)), dtype=int)
@@ -79,7 +79,6 @@ def _bottleneck_lb_matching(instance: ClusteringInstance, fac: list[int],
         return None
     fac = np.asarray(fac, dtype=int)
     d = instance.dist_cf[:, fac]
-    values = np.unique(d)
 
     def attempt(radius: float) -> np.ndarray | None:
         # clients off the slots go to their nearest facility, which every
@@ -87,19 +86,8 @@ def _bottleneck_lb_matching(instance: ClusteringInstance, fac: list[int],
         phi, misses = _assign_slots(fac, d, d > radius, L)
         return phi if misses == 0 else None
 
-    lo = int(np.searchsorted(values, d.min(axis=1).max()))
-    hi = len(values) - 1
-    best = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        phi = attempt(float(values[mid]))
-        if phi is None:
-            lo = mid + 1
-        else:
-            best, hi = phi, mid
-    if best is None:
-        best = attempt(float(values[hi]))
-    return best, float(values[hi])
+    radius, phi = bottleneck_search(d, attempt)
+    return phi, radius
 
 
 @dataclass(frozen=True)
@@ -114,27 +102,26 @@ class LbClusteringResult:
         return self.solution.cost_p
 
 
-def lb_clustering(instance: ClusteringInstance, L: int, k: int | None = None,
+def lb_clustering(instance: ClusteringInstance, L: int,
                   solver_id: SolverId | None = None, seed: int = 0,
                   subset_cap: int = SUBSET_ENUMERATION_CAP) -> LbClusteringResult:
     """Lower-bounded (k,p)-clustering by subset enumeration over vanilla centers.
 
-    Enumerates all 2^|S| - 1 nonempty subsets of the vanilla solution's
-    centers; infeasible subsets (L * |T| > n) are skipped. The rest are
-    solved in increasing order of their nearest-center lower bound until
+    Enumerates all 2^|S| - 1 nonempty subsets of the instance.k centers S
+    the vanilla solver opens; infeasible subsets (L * |T| > n) are skipped.
+    The rest are solved in increasing order of their nearest-center lower bound until
     that bound exceeds the best cost, which rules out every later subset.
     Ties on cost break to the lexicographically smallest subset, so the
     result is independent of the visiting order. Every cluster of the
     result has size >= L.
     """
-    k = instance.k if k is None else k
-    if k > subset_cap:
-        raise ValueError(f"k={k} exceeds the subset enumeration cap {subset_cap}")
+    if instance.k > subset_cap:
+        raise ValueError(f"k={instance.k} exceeds the subset enumeration cap {subset_cap}")
     if not (1 <= L <= instance.n):
         raise LbInfeasibleError(f"L={L} must lie in [1, n={instance.n}]")
     if solver_id is None:
         solver_id = default_solver_for(instance.p)
-    vanilla = solve_vanilla(instance, solver_id, seed, k)
+    vanilla = solve_vanilla(instance, solver_id, seed)
     S = sorted(vanilla.opened)
     bottleneck = math.isinf(instance.p)
     near = instance.dist_cf[:, S] if bottleneck else instance.dist_cf[:, S] ** instance.p

@@ -140,7 +140,10 @@ def solve_lp(model: LpModel) -> LpSolution:
     )
 
 
-def check_feasible(model: LpModel) -> bool:
-    """Whether the constraint system admits a feasible point (phase-1 test)."""
+def check_feasible(model: LpModel) -> LpSolution | None:
+    """Phase-1 test: the vertex HiGHS returns for the constraint system under
+    a zero objective, or None when the system is infeasible. A model whose
+    objective is already zero is solved exactly as given, so the returned
+    vertex is the one ``solve_lp(model)`` would give."""
     sol = solve_lp(replace(model, c=np.zeros(model.num_vars)))
-    return sol.status is LpStatus.OPTIMAL
+    return sol if sol.status is LpStatus.OPTIMAL else None

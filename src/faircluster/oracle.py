@@ -102,13 +102,11 @@ def _chunk_violations(digits: np.ndarray, membership: np.ndarray,
 
 
 def brute_force_assignment(instance: ClusteringInstance, opened,
-                           profile: FairnessProfile, p: float | None = None,
-                           lam: float = 0.0,
+                           profile: FairnessProfile, lam: float = 0.0,
                            max_size_guard: int = DEFAULT_GUARD) -> OracleResult:
-    """Exhaustive fair-assignment optimum on fixed centers, allowing up to
-    ``lam`` additive violation (0 = exactly fair)."""
-    if p is None:
-        p = instance.p
+    """Exhaustive fair-assignment optimum on fixed centers in the instance
+    norm, allowing up to ``lam`` additive violation (0 = exactly fair)."""
+    p = instance.p
     opened = tuple(sorted(dict.fromkeys(int(f) for f in opened)))
     s, n = len(opened), instance.n
     states = float(s) ** n
@@ -219,7 +217,7 @@ def brute_force_lower_bounded(instance: ClusteringInstance, L: int,
 
 
 def almost_fair_lp(instance: ClusteringInstance, profile: FairnessProfile,
-                   lam: float, p: float | None = None) -> float:
+                   lam: float) -> float:
     """Cost lower bound for any clustering whose additive violation is <= lam.
 
     Solves the center-opening relaxation over all of F: assignment variables
@@ -227,8 +225,7 @@ def almost_fair_lp(instance: ClusteringInstance, profile: FairnessProfile,
     relaxed additively by lam. Returns objective^(1/p). Fractional only; the
     value is used as a floor, never rounded into a clustering.
     """
-    if p is None:
-        p = instance.p
+    p = instance.p
     if math.isinf(p):
         raise ValueError("the almost-fair LP needs finite p")
     n, m, k = instance.n, instance.m, instance.k

@@ -2,9 +2,10 @@
 
 Three classics: Gonzalez farthest-point traversal for k-center, single-swap
 local search (D-sampled starts, best of a few trials) for k-median, and
-k-means++ with Lloyd iterations for k-means. All are deterministic given
-(instance, k, seed): randomness flows from the single seed through
-numpy SeedSequence spawn keys, so independent trials are reproducible.
+k-means++ with Lloyd iterations for k-means. Each opens ``instance.k``
+centers and is deterministic given (instance, seed): randomness flows from
+the single seed through numpy SeedSequence spawn keys, so independent trials
+are reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from enum import Enum
 import numpy as np
 
 from .instance import Assignment, ClusteringInstance, nearest_assignment
+
+# local search takes a swap only if it cuts the cost by more than SWAP_EPS / k of it
+SWAP_EPS = 1e-3
+# Lloyd stops after this many iterations or below this relative SSE improvement
+LLOYD_MAX_ITERS = 300
+LLOYD_REL_TOL = 1e-6
 
 
 class SolverId(Enum):
@@ -54,11 +61,6 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _check_k(instance: ClusteringInstance, k: int) -> None:
-    if not (1 <= k <= instance.m):
-        raise ValueError(f"k={k} out of range [1, |F|={instance.m}]")
-
-
 def _nearest_unchosen_facility(instance, client, chosen: set[int]) -> int:
     d = instance.dist_cf[client]
     order = np.argsort(d, kind="stable")
@@ -68,11 +70,13 @@ def _nearest_unchosen_facility(instance, client, chosen: set[int]) -> int:
     raise RuntimeError("no unchosen facility left")
 
 
-def _gonzalez_from_start(instance: ClusteringInstance, k: int, start: int) -> list[int]:
-    centers = [start]
-    chosen = {start}
-    mind = instance.dist_cf[:, start].copy()
-    while len(centers) < k:
+def _farthest_point_fill(instance: ClusteringInstance, centers: list[int]) -> list[int]:
+    """Extend ``centers`` to k by farthest-point additions: each new center is
+    the unchosen facility nearest to the client farthest from the chosen set."""
+    centers = list(centers)
+    chosen = set(centers)
+    mind = instance.dist_cf[:, centers].min(axis=1)
+    while len(centers) < instance.k:
         far = int(np.argmax(mind))  # argmax ties -> lowest client index
         f = _nearest_unchosen_facility(instance, far, chosen)
         centers.append(f)
@@ -81,21 +85,18 @@ def _gonzalez_from_start(instance: ClusteringInstance, k: int, start: int) -> li
     return centers
 
 
-def gonzalez_k_center(instance: ClusteringInstance, k: int | None = None,
-                      seed: int = 0) -> VanillaSolution:
+def gonzalez_k_center(instance: ClusteringInstance, seed: int = 0) -> VanillaSolution:
     """Farthest-point traversal (2-approximation for the bottleneck objective).
 
     The first center is a seeded draw from F when F = C, else the
     lowest-index facility; each following center is the facility nearest to
     the client currently farthest from the chosen set.
     """
-    k = instance.k if k is None else k
-    _check_k(instance, k)
     if instance.facilities_are_clients:
         start = int(_rng(seed, 0).integers(instance.m))
     else:
         start = 0
-    centers = _gonzalez_from_start(instance, k, start)
+    centers = _farthest_point_fill(instance, [start])
     phi = nearest_assignment(instance, centers)
     return VanillaSolution(
         assignment=Assignment(instance, tuple(centers), phi),
@@ -105,8 +106,8 @@ def gonzalez_k_center(instance: ClusteringInstance, k: int | None = None,
 
 # -- k-median local search ---------------------------------------------------
 
-def _d_sample_centers(instance: ClusteringInstance, k: int,
-                      rng: np.random.Generator, power: float) -> list[int]:
+def _d_sample_centers(instance: ClusteringInstance, rng: np.random.Generator,
+                      power: float) -> list[int]:
     """Seed k centers by D-sampling: draw a client with probability
     proportional to d(client, chosen)^power, open its nearest unchosen facility."""
     n = instance.n
@@ -115,7 +116,7 @@ def _d_sample_centers(instance: ClusteringInstance, k: int,
     centers = [_nearest_unchosen_facility(instance, first_client, chosen)]
     chosen.add(centers[0])
     mind = instance.dist_cf[:, centers[0]].copy()
-    while len(centers) < k:
+    while len(centers) < instance.k:
         w = mind**power
         tot = w.sum()
         if tot > 0:
@@ -161,25 +162,23 @@ def _swap_pass(dist_cf: np.ndarray, centers: list[int], threshold: float):
     return None
 
 
-def local_search_k_median(instance: ClusteringInstance, k: int | None = None,
-                          seed: int = 0, trials: int = 5,
-                          eps_ls: float = 1e-3) -> VanillaSolution:
+def local_search_k_median(instance: ClusteringInstance, seed: int = 0,
+                          trials: int = 5) -> VanillaSolution:
     """Single-swap local search on the sum-of-distances objective.
 
     Each trial D-samples a start (power 1) and applies the best improving
-    swap while it beats the (1 - eps_ls/k) improvement threshold; the best of
+    swap while it beats the (1 - SWAP_EPS/k) improvement threshold; the best of
     ``trials`` independent runs is returned. Solution cost is reported in the
     instance norm, the search itself optimizes l_1.
     """
-    k = instance.k if k is None else k
-    _check_k(instance, k)
+    k = instance.k
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    threshold = 1.0 - eps_ls / k
+    threshold = 1.0 - SWAP_EPS / k
     best_centers, best_cost = None, math.inf
     for t in range(trials):
         rng = _rng(seed, 1, t)
-        centers = _d_sample_centers(instance, k, rng, power=1.0)
+        centers = _d_sample_centers(instance, rng, power=1.0)
         if k < instance.m:
             while True:
                 swap = _swap_pass(instance.dist_cf, centers, threshold)
@@ -219,32 +218,30 @@ def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return points[idx].copy()
 
 
-def kmeans(instance: ClusteringInstance, k: int | None = None, seed: int = 0,
-           max_iters: int = 300, rel_tol: float = 1e-6) -> VanillaSolution:
+def kmeans(instance: ClusteringInstance, seed: int = 0) -> VanillaSolution:
     """k-means++ seeding plus Lloyd iterations, snapped back onto F.
 
     Lloyd runs in continuous centroid space until the relative SSE
-    improvement drops below ``rel_tol`` (or ``max_iters``). Final centroids
-    are snapped to their nearest facilities so the opened set lies in F;
-    collapsed duplicates are refilled by farthest-point additions, then the
-    nearest assignment is recomputed.
+    improvement drops below ``LLOYD_REL_TOL`` (or ``LLOYD_MAX_ITERS``).
+    Final centroids are snapped to their nearest facilities so the opened
+    set lies in F; collapsed duplicates are refilled by farthest-point
+    additions, then the nearest assignment is recomputed.
     """
     if not instance.is_euclidean:
         raise ValueError("k-means requires a coordinate (Euclidean) instance")
-    k = instance.k if k is None else k
-    _check_k(instance, k)
+    k = instance.k
     pts = instance.points
     rng = _rng(seed, 2)
     centroids = _kmeanspp_seed(pts, k, rng)
 
     costs: list[float] = []
     prev = math.inf
-    for _ in range(max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         dsq = _dsq_to_centroids(pts, centroids)
         labels = np.argmin(dsq, axis=1)
         sse = float(dsq[np.arange(len(pts)), labels].sum())
         costs.append(sse)
-        if prev - sse <= rel_tol * max(prev, 1e-30) and len(costs) > 1:
+        if prev - sse <= LLOYD_REL_TOL * max(prev, 1e-30) and len(costs) > 1:
             break
         prev = sse
         for j in range(k):
@@ -260,16 +257,7 @@ def kmeans(instance: ClusteringInstance, k: int | None = None, seed: int = 0,
     fac = pts if instance.facility_points is None else instance.facility_points
     diff = centroids[:, None, :] - fac[None, :, :]
     snapped = np.argmin(np.einsum("kmd,kmd->km", diff, diff), axis=1)
-    centers = list(dict.fromkeys(int(f) for f in snapped))
-    if len(centers) < k:
-        chosen = set(centers)
-        mind = instance.dist_cf[:, centers].min(axis=1)
-        while len(centers) < k:
-            far = int(np.argmax(mind))
-            f = _nearest_unchosen_facility(instance, far, chosen)
-            centers.append(f)
-            chosen.add(f)
-            np.minimum(mind, instance.dist_cf[:, f], out=mind)
+    centers = _farthest_point_fill(instance, list(dict.fromkeys(int(f) for f in snapped)))
     phi = nearest_assignment(instance, centers)
     return VanillaSolution(
         assignment=Assignment(instance, tuple(centers), phi),
@@ -279,13 +267,13 @@ def kmeans(instance: ClusteringInstance, k: int | None = None, seed: int = 0,
 
 
 def solve_vanilla(instance: ClusteringInstance, solver_id: SolverId,
-                  seed: int = 0, k: int | None = None) -> VanillaSolution:
+                  seed: int = 0) -> VanillaSolution:
     if solver_id is SolverId.K_CENTER_GONZALEZ:
-        return gonzalez_k_center(instance, k, seed)
+        return gonzalez_k_center(instance, seed)
     if solver_id is SolverId.K_MEDIAN_LOCAL_SEARCH:
-        return local_search_k_median(instance, k, seed)
+        return local_search_k_median(instance, seed)
     if solver_id is SolverId.K_MEANS_LLOYD:
-        return kmeans(instance, k, seed)
+        return kmeans(instance, seed)
     raise ValueError(f"unknown solver {solver_id!r}")
 
 

@@ -12,25 +12,27 @@ from faircluster import (
     Assignment,
     ClusteringInstance,
     FairnessProfile,
-    additive_violation,
     almost_fair_lp,
     brute_force_assignment,
     brute_force_fair,
     brute_force_lower_bounded,
     delta_to_profile,
     fair_clustering,
-    gonzalez_k_center,
-    kmeans,
     lb_clustering,
-    local_search_k_median,
-    lp_norm_cost,
-    min_cost_lb_matching,
 )
 from faircluster.config import config_from_mapping
 from faircluster.datasets import bundled_dataset_path
 from faircluster.experiment import run_experiment
 from faircluster.ingest import ingest
-from faircluster.vanilla import SolverId, default_solver_for
+from faircluster.instance import additive_violation, lp_norm_cost
+from faircluster.lower_bounded import min_cost_lb_matching
+from faircluster.vanilla import (
+    SolverId,
+    default_solver_for,
+    gonzalez_k_center,
+    kmeans,
+    local_search_k_median,
+)
 
 from util import (
     random_euclidean_instance,
@@ -156,7 +158,7 @@ def test_criterion_4_reassignment_claims():
         asg = Assignment(inst, vanilla.opened, composed)
         if additive_violation(inst, profile, asg) > 1e-9:
             fair_ok = False
-        lhs = lp_norm_cost(inst, vanilla.opened, composed, p)
+        lhs = lp_norm_cost(inst, vanilla.opened, composed)
         rhs = 2.0 * orc.opt_fair + vanilla.cost_p
         if lhs > rhs + 1e-9 * max(1.0, rhs):
             cost_ok = False
@@ -199,7 +201,7 @@ def test_criterion_6_k_center_pipeline():
         dists = inst.dist_cf[np.arange(inst.n), res.solution.phi]
         if dists.max() > g + 1e-12:
             radius_ok = False
-        orc = brute_force_assignment(inst, res.solution.opened, profile, p=math.inf)
+        orc = brute_force_assignment(inst, res.solution.opened, profile)
         if not math.isinf(orc.opt_asgn) and g > orc.opt_asgn + 1e-12:
             opt_ok = False
     ok = member_ok and radius_ok and opt_ok

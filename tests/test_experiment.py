@@ -114,12 +114,22 @@ def test_lp_floor_warning_recorded(tmp_path, monkeypatch):
 
 def test_lb_report(small_csv, tmp_path):
     cfg = make_config(small_csv, tmp_path / "out", k_values=[2], max_points=30,
-                      L=5, lb_mode=True)
+                      L=5)
     path = experiment.run_lb(cfg)
     rows = json.loads(path.read_text())["rows"]
     assert rows[0]["status"] == "ok"
     assert all(size >= 5 for size in rows[0]["cluster_sizes"].values())
     assert 1 <= rows[0]["subsets_solved"] <= rows[0]["subsets_evaluated"] == 3
+
+
+def test_vacuous_k_center_radius_is_reported(small_csv, tmp_path):
+    cfg = make_config(small_csv, tmp_path / "out", k_values=[2], p="inf", max_points=30,
+                      delta_values=[0.2, "vacuous"])
+    report = json.loads(experiment.run_experiment(cfg).report_path.read_text())
+    cells = {c["delta"]: c for c in report["cells"]}
+    assert cells["vacuous"]["status"] == "ok"
+    assert cells["vacuous"]["radius"] == cells["vacuous"]["fair_cost"]
+    assert cells[0.2]["fair_cost"] <= cells[0.2]["radius"]
 
 
 def test_oracle_report(small_csv, tmp_path):
@@ -165,6 +175,11 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, small_csv, max_points=25)
         assert cli_main(["lb", "--config", str(cfg), "--L", "4"]) == 0
         assert "lb_report" in capsys.readouterr().out
+
+    def test_lb_bad_L_exit_one(self, small_csv, tmp_path):
+        cfg = self.write_cfg(tmp_path, small_csv, max_points=25)
+        assert cli_main(["lb", "--config", str(cfg), "--L", "0"]) == 1
+        assert cli_main(["lb", "--config", str(cfg)]) == 1
 
     def test_oracle_command(self, small_csv, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, small_csv, max_points=9)

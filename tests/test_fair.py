@@ -6,24 +6,23 @@ import pytest
 from faircluster import (
     Assignment,
     ClusteringInstance,
+    FairAssignmentProblem,
     FairnessInfeasibleError,
     FairnessProfile,
-    additive_violation,
-    build_fair_feasibility_lp,
-    build_fair_lp,
-    check_feasible,
+    SolverError,
     delta_to_profile,
-    fair_assign_k_center,
     fair_assignment,
     fair_clustering,
-    iterative_round,
-    lp_norm_cost,
-    nearest_assignment,
-    solve_lp,
 )
 import faircluster.fair as fair_module
-from faircluster.fair import FairAssignmentProblem
-from faircluster.lp import LpSolution, LpStatus, SolverError
+from faircluster.fair import (
+    build_fair_feasibility_lp,
+    build_fair_lp,
+    fair_assign_k_center,
+    iterative_round,
+)
+from faircluster.instance import additive_violation, lp_norm_cost, nearest_assignment
+from faircluster.lp import LpSolution, LpStatus, check_feasible, solve_lp
 from faircluster.vanilla import SolverId, default_solver_for, solve_vanilla
 
 from util import (
@@ -261,7 +260,7 @@ class TestKCenterPath:
     def test_vacuous_guess_is_max_nearest(self):
         inst = fixed_instance(p=math.inf, n=9, m=4, k=2, seed=6)
         problem = FairAssignmentProblem(inst, (1, 3), FairnessProfile.vacuous(inst.ell))
-        res = fair_assign_k_center(problem)
+        res = fair_assignment(problem)
         nearest = inst.dist_cf[:, [1, 3]].min(axis=1)
         assert res.guess == pytest.approx(float(nearest.max()))
         assert res.rounding_iterations == 0
@@ -276,9 +275,9 @@ class TestKCenterPath:
         inst = fixed_instance(p=math.inf, n=6, m=3, k=2, seed=8)
         problem = FairAssignmentProblem(inst, (0, 1), FairnessProfile.vacuous(inst.ell))
         gmax = float(inst.dist_cf[:, [0, 1]].max())
-        assert check_feasible(build_fair_feasibility_lp(problem, gmax))
+        assert check_feasible(build_fair_feasibility_lp(problem, gmax)) is not None
         too_small = float(inst.dist_cf[:, [0, 1]].min(axis=1).max()) - 1e-9
-        assert not check_feasible(build_fair_feasibility_lp(problem, too_small))
+        assert check_feasible(build_fair_feasibility_lp(problem, too_small)) is None
 
     def test_guess_member_of_multiset_and_bounds(self):
         rng = np.random.default_rng(40)
@@ -420,7 +419,7 @@ class TestReassignmentClaims:
             asg = Assignment(inst, tuple(sorted(set(composed))) if len(set(composed)) <= inst.k
                              else tuple(S), composed)
             assert additive_violation(inst, prof, asg) <= 1e-9
-            lhs = lp_norm_cost(inst, set(composed), composed, p)
+            lhs = lp_norm_cost(inst, set(composed), composed)
             rhs = 2.0 * opt + vanilla.cost_p
             assert lhs <= rhs + 1e-9 * max(1.0, rhs)
         assert checked >= 10

@@ -70,6 +70,18 @@ def test_non_numeric_row_dropped(tmp_path):
     assert res.instance.n == 5
 
 
+def test_nan_row_dropped_infinite_row_rejected(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text(SIX_ROWS.replace("2.0,1.0,f", "nan,1.0,f", 1))
+    res = ingest(base_config(f))
+    assert res.rows_dropped == 1
+    assert res.instance.n == 5
+    for bad in ("inf", "-inf"):
+        f.write_text(SIX_ROWS.replace("2.0,1.0,f", f"2.0,{bad},f", 1))
+        with pytest.raises(ConfigError, match="line 4: infinite coordinate"):
+            ingest(base_config(f))
+
+
 def test_semicolon_delimiter_detected(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text(SIX_ROWS.replace(",", ";"))

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircluster import (
-    Assignment,
-    ClusteringInstance,
-    FairnessProfile,
+from faircluster import Assignment, ClusteringInstance, FairnessProfile, delta_to_profile
+from faircluster.instance import (
     additive_violation,
     balance,
     build_report,
-    delta_to_profile,
     lp_norm_cost,
     nearest_assignment,
 )
@@ -54,8 +51,8 @@ class TestLpNormCost:
         # one facility at 0, clients on a ray: distances are the coordinates
         inst = line_instance(dists, [0.0], [set(range(len(dists)))], k=1, p=1)
         phi = [0] * len(dists)
-        assert lp_norm_cost(inst, [0], phi, p=1) == pytest.approx(math.fsum(dists))
-        assert lp_norm_cost(inst, [0], phi, p=math.inf) == max(dists)
+        assert lp_norm_cost(inst, [0], phi) == pytest.approx(math.fsum(dists))
+        assert lp_norm_cost(inst.with_p(math.inf), [0], phi) == max(dists)
 
 
 def two_group_instance(n=8):
@@ -136,6 +133,37 @@ class TestAdditiveViolation:
             slow = slow_violation(inst, profile, opened, phi)
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_count_table_metrics_equal_the_pairwise_loops(self):
+        # reference: each (cluster, group) pair counted and scored on its own,
+        # in the same float operations; the results must be bit-identical
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            inst = random_euclidean_instance(rng, n=9, m=4, k=3)
+            profile = delta_to_profile(inst, float(rng.choice([0.0, 0.3, 0.6])))
+            opened = sorted(rng.choice(inst.m, size=3, replace=False).tolist())
+            phi = [int(rng.choice(opened[:2])) for _ in range(inst.n)]  # opened[2] empty
+            asg = Assignment(inst, tuple(opened), phi)
+            sizes, counts = asg.group_counts()
+            lam, bal = 0.0, {}
+            for pos, f in enumerate(opened):
+                members = [v for v in range(inst.n) if phi[v] == f]
+                assert sizes[pos] == len(members)
+                b = 1.0
+                for i in range(inst.ell):
+                    cnt = sum(1 for v in members if inst.membership[v, i])
+                    assert counts[pos, i] == cnt
+                    if not members:
+                        continue
+                    lam = max(lam, cnt - profile.alpha[i] * len(members),
+                              profile.beta[i] * len(members) - cnt)
+                    rif = cnt / len(members)
+                    r = inst.group_ratios[i]
+                    b = 0.0 if rif == 0.0 or b == 0.0 else min(b, r / rif, rif / r)
+                if members:
+                    bal[f] = float(b)
+            assert additive_violation(inst, profile, asg) == max(0.0, lam)
+            assert balance(inst, asg) == bal
+
     def test_zero_iff_rd_mp_hold(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -192,6 +220,18 @@ class TestTypes:
             line_instance([0, 1], [0], [{0, 5}], k=1, p=1)
         with pytest.raises(ValueError, match="empty"):
             line_instance([0, 1], [0], [set()], k=1, p=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_points_rejects_non_finite(self, bad):
+        pts = np.zeros((3, 2))
+        pts[1, 1] = bad
+        with pytest.raises(ValueError, match="^points row 1 has a non-finite"):
+            ClusteringInstance.from_points(pts, [{0, 1, 2}], k=1, p=2)
+        fac = np.zeros((3, 2))
+        fac[2, 0] = bad
+        with pytest.raises(ValueError, match="^facility_points row 2 has a non-finite"):
+            ClusteringInstance.from_points(np.zeros((2, 2)), [{0, 1}], k=1, p=2,
+                                           facility_points=fac)
 
     def test_delta_overlap_counts_memberships(self):
         rng = np.random.default_rng(0)

@@ -4,13 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from faircluster import (
-    ClusteringInstance,
-    LbInfeasibleError,
-    lb_clustering,
-    min_cost_lb_matching,
-)
-from faircluster.lower_bounded import _bottleneck_lb_matching
+from faircluster import ClusteringInstance, LbInfeasibleError, lb_clustering
+from faircluster.lower_bounded import _bottleneck_lb_matching, min_cost_lb_matching
 from faircluster.vanilla import SolverId
 
 from util import (

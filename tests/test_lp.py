@@ -4,15 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from faircluster import (
-    LpModel,
-    LpStatus,
-    check_feasible,
-    delta_to_profile,
-    solve_lp,
-)
-from faircluster.fair import FairAssignmentProblem, build_fair_lp
-from faircluster.lp import csr_from_coo
+from faircluster import FairAssignmentProblem, delta_to_profile
+from faircluster.fair import build_fair_lp
+from faircluster.lp import LpModel, LpStatus, check_feasible, csr_from_coo, solve_lp
 
 from util import random_euclidean_instance
 
@@ -29,13 +23,13 @@ def test_minimize_with_lower_bound():
 def test_infeasible_pair():
     m = LpModel(c=[0.0], a_ub=[[-1.0], [1.0]], b_ub=[-2.0, 1.0], bounds=(0.0, 10.0))
     assert solve_lp(m).status is LpStatus.INFEASIBLE
-    assert check_feasible(m) is False
+    assert check_feasible(m) is None
 
 
 def test_empty_constraints_feasible():
     m = LpModel(c=[0.0])
     assert m.num_constraints == 0
-    assert check_feasible(m) is True
+    assert check_feasible(m) is not None
 
 
 def test_model_validation():

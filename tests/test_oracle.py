@@ -14,8 +14,8 @@ from faircluster import (
     brute_force_lower_bounded,
     delta_to_profile,
     fair_clustering,
-    nearest_assignment,
 )
+from faircluster.instance import nearest_assignment
 from faircluster.vanilla import default_solver_for
 
 from util import (

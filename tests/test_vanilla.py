@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from faircluster import (
-    ClusteringInstance,
+from faircluster import ClusteringInstance
+from faircluster.instance import nearest_assignment
+from faircluster.vanilla import (
+    _farthest_point_fill,
     gonzalez_k_center,
     kmeans,
     local_search_k_median,
-    nearest_assignment,
 )
-from faircluster.vanilla import _gonzalez_from_start
 
 from util import random_euclidean_instance, slow_vanilla_opt
 
@@ -30,7 +30,7 @@ class TestGonzalez:
 
     def test_collinear_from_start_zero(self):
         inst = line_fc([0, 1, 10], k=2, p=math.inf)
-        centers = _gonzalez_from_start(inst, 2, start=0)
+        centers = _farthest_point_fill(inst, [0])
         assert sorted(centers) == [0, 2]  # the points at coordinates 0 and 10
         phi = nearest_assignment(inst, centers)
         dmax = max(inst.dist_cf[v, phi[v]] for v in range(3))
@@ -51,9 +51,8 @@ class TestGonzalez:
             assert sol.cost_p <= 2.0 * slow_vanilla_opt(inst) + 1e-12
 
     def test_k_out_of_range(self):
-        inst = line_fc([0, 1], k=2, p=math.inf)
-        with pytest.raises(ValueError):
-            gonzalez_k_center(inst, k=5)
+        with pytest.raises(ValueError, match="k=5"):
+            line_fc([0, 1], k=5, p=math.inf)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
