@@ -1,7 +1,8 @@
 """Experiment orchestration: (k, delta) grids, reports, and plot-ready CSVs.
 
-Per cell we run the vanilla solver, the fair pipeline, and optionally the
-almost-fair LP and the brute-force oracle. Outputs:
+Per k we run the vanilla solver once; per (k, delta) cell the fair stage on
+that solution, and optionally the almost-fair LP and the brute-force oracle.
+Outputs:
 
   report.json  - full nested report (config echo, per-cell metrics, timings)
   cells.csv    - one flat row per grid cell, no timings, byte-reproducible
@@ -13,6 +14,7 @@ failure is reflected in the process exit code, not an exception.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fair
 from .config import ConfigError, ExperimentConfig
 from .fair import fair_clustering
 from .ingest import IngestResult, ingest
@@ -83,17 +86,38 @@ def _resolve_solver(config: ExperimentConfig) -> SolverId:
         raise ValueError(f"unknown solver_id {config.solver_id!r}; choose from {names}")
 
 
-def _run_cell(instance, config: ExperimentConfig, k: int, delta, solver: SolverId) -> dict:
-    inst = instance.with_k(k)
+def _profile_for(instance, delta) -> FairnessProfile:
+    """The fairness profile of one grid value: ``"vacuous"`` or a delta knob."""
     if delta == "vacuous":
-        profile = FairnessProfile.vacuous(inst.ell)
-    else:
-        profile = delta_to_profile(inst, float(delta))
+        return FairnessProfile.vacuous(instance.ell)
+    return delta_to_profile(instance, float(delta))
+
+
+def _solve_k(inst, solver: SolverId, seed: int):
+    """The one vanilla solve shared by every delta cell of ``inst.k``:
+    (the solution, or the exception that ended it; its time in ms)."""
     t0 = time.perf_counter()
-    cell: dict = {"k": k, "delta": delta, "solver_id": solver.value,
+    try:
+        vanilla = fair.solve_vanilla(inst, solver, seed)
+    except Exception as exc:  # noqa: BLE001 - fails that k's cells only
+        vanilla = exc
+    return vanilla, (time.perf_counter() - t0) * 1e3
+
+
+def _run_cell(inst, solved, delta, config: ExperimentConfig, solver: SolverId,
+              first_of_k: bool) -> dict:
+    """One (k, delta) cell on the k's vanilla solution ``solved`` (from
+    ``_solve_k``). The solve's time is charged to the k's first cell, so the
+    cells' ``wall_ms`` still add up to the grid's run time."""
+    vanilla, vanilla_ms = solved
+    t0 = time.perf_counter()
+    cell: dict = {"k": inst.k, "delta": delta, "solver_id": solver.value,
                   "seed": config.seed, "n": inst.n, "status": "ok", "warnings": []}
     try:
-        run = fair_clustering(inst, profile, solver, seed=config.seed)
+        if isinstance(vanilla, Exception):
+            raise vanilla
+        profile = _profile_for(inst, delta)
+        run = fair_clustering(vanilla, profile)
         hard_bound = 4 * inst.delta + 3
         if run.lambda_observed > hard_bound:
             raise AssertionError(
@@ -102,7 +126,7 @@ def _run_cell(instance, config: ExperimentConfig, k: int, delta, solver: SolverI
         fair_cost = run.solution.cost_p
         report = run.report
         cell.update({
-            "vanilla_cost": run.vanilla.cost_p,
+            "vanilla_cost": vanilla.cost_p,
             "fair_cost": fair_cost,
             "cost_of_fairness": report.cost_of_fairness,
             "lambda_max": report.lambda_max,
@@ -114,7 +138,7 @@ def _run_cell(instance, config: ExperimentConfig, k: int, delta, solver: SolverI
             "group_counts": {f: list(c) for f, c in report.group_counts.items()},
             "largest_clusters": [f for f, _ in sorted(
                 report.cluster_sizes.items(), key=lambda kv: (-kv[1], kv[0]))[:3]],
-            "timings_ms": dict(report.timings_ms),
+            "timings_ms": {"vanilla": vanilla_ms, **report.timings_ms},
         })
         if run.fair.initial_lp_objective is not None:
             floor = run.fair.initial_lp_objective ** (1.0 / inst.p)
@@ -134,9 +158,9 @@ def _run_cell(instance, config: ExperimentConfig, k: int, delta, solver: SolverI
             except GuardExceededError as exc:
                 cell["warnings"].append(f"oracle skipped: {exc}")
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        log.warning("cell (k=%s, delta=%s) failed: %s", k, delta, exc)
+        log.warning("cell (k=%s, delta=%s) failed: %s", inst.k, delta, exc)
         cell["status"] = f"failed: {exc}"
-    cell["wall_ms"] = (time.perf_counter() - t0) * 1e3
+    cell["wall_ms"] = (time.perf_counter() - t0) * 1e3 + (vanilla_ms if first_of_k else 0.0)
     return cell
 
 
@@ -157,17 +181,27 @@ def run_experiment(config: ExperimentConfig, ingest_result: IngestResult | None 
     ing = ingest_result or ingest(config)
     instance = ing.instance
     solver = _resolve_solver(config)
-    grid = [(k, d) for k in config.k_values for d in config.delta_values]
     log.info("running %d cells on n=%d points (solver=%s)",
-             len(grid), instance.n, solver.value)
+             len(config.k_values) * len(config.delta_values), instance.n, solver.value)
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {cellkey: pool.submit(_run_cell, instance, config, k, d, solver)
-                       for cellkey, (k, d) in enumerate(grid)}
-            cells = [futures[i].result() for i in range(len(grid))]
-    else:
-        cells = [_run_cell(instance, config, k, d, solver) for k, d in grid]
+    # one n x m matrix for the whole grid: with_k hands it to every k
+    instance.dist_cf  # noqa: B018 - computed here, before the per-k copies
+    insts = [instance.with_k(k) for k in config.k_values]
+    deltas = config.delta_values
+
+    def solve(inst):
+        return _solve_k(inst, solver, config.seed)
+
+    def run_cell(ij):
+        i, j = ij
+        return _run_cell(insts[i], solved[i], deltas[j], config, solver, first_of_k=j == 0)
+
+    pool = ThreadPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        mapper = map if pool is None else pool.map
+        solved = list(mapper(solve, insts))
+        cells = list(mapper(run_cell, [(i, j) for i in range(len(insts))
+                                       for j in range(len(deltas))]))
 
     report = {
         "config": _json_safe({
@@ -260,12 +294,10 @@ def run_oracle(config: ExperimentConfig) -> Path:
     ing = ingest(config)
     rows = []
     for k in config.k_values:
+        inst = ing.instance.with_k(k)
         for d in config.delta_values:
-            inst = ing.instance.with_k(k)
-            profile = FairnessProfile.vacuous(inst.ell) if d == "vacuous" \
-                else delta_to_profile(inst, float(d))
             try:
-                orc = brute_force_fair(inst, profile)
+                orc = brute_force_fair(inst, _profile_for(inst, d))
                 rows.append({"k": k, "delta": d, "status": "ok",
                              "opt_vnll": orc.opt_vnll, "opt_fair": orc.opt_fair})
             except GuardExceededError as exc:

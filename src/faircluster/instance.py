@@ -48,6 +48,10 @@ def _validate_distance_matrix(dmat: np.ndarray, check_triangle: bool) -> None:
                 )
 
 
+# cached properties of ClusteringInstance that do not depend on k or p
+_K_P_FREE = ("membership", "delta", "group_ratios", "dist_cf", "dist_ff")
+
+
 @dataclass(frozen=True)
 class ClusteringInstance:
     """A (k,p)-clustering instance with protected groups.
@@ -125,10 +129,18 @@ class ClusteringInstance:
                    dmat=d, client_indices=_frozen_array(ci, int), facility_indices=_frozen_array(fi, int))
 
     def with_k(self, k: int) -> "ClusteringInstance":
-        return replace(self, k=k)
+        return self._carry(replace(self, k=k))
 
     def with_p(self, p: float) -> "ClusteringInstance":
-        return replace(self, p=float(p))
+        return self._carry(replace(self, p=float(p)))
+
+    def _carry(self, other: "ClusteringInstance") -> "ClusteringInstance":
+        """Hand ``other`` the cached arrays already computed here; none of
+        them depends on k or p, so a grid over k shares one distance matrix."""
+        for name in _K_P_FREE:
+            if name in self.__dict__:
+                other.__dict__[name] = self.__dict__[name]
+        return other
 
     # -- basic shape --------------------------------------------------------
 
@@ -306,17 +318,22 @@ class Assignment:
         """facility -> array of assigned client indices (opened facilities only)."""
         return {f: np.flatnonzero(self.phi == f) for f in self.opened}
 
+    @cached_property
     def group_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per opened facility, in ``opened`` order: the cluster sizes (|S|,)
-        and the per-group member counts (|S|, ell). Empty clusters count 0."""
+        and the per-group member counts (|S|, ell). Empty clusters count 0.
+        Built once per assignment; both arrays are read-only."""
         s, ell = len(self.opened), self.instance.ell
         pos = np.searchsorted(self.opened, self.phi)
         v, i = np.nonzero(self.instance.membership)
         counts = np.bincount(pos[v] * ell + i, minlength=s * ell).reshape(s, ell)
-        return np.bincount(pos, minlength=s), counts
+        sizes = np.bincount(pos, minlength=s)
+        sizes.setflags(write=False)
+        counts.setflags(write=False)
+        return sizes, counts
 
     def cluster_sizes(self) -> dict[int, int]:
-        return dict(zip(self.opened, self.group_counts()[0].tolist()))
+        return dict(zip(self.opened, self.group_counts[0].tolist()))
 
 
 def nearest_assignment(instance: ClusteringInstance, opened) -> np.ndarray:
@@ -359,7 +376,7 @@ def balance(instance: ClusteringInstance, assignment: Assignment) -> dict[int, f
     a cluster missing a represented group entirely (r_i(f) = 0 with r_i > 0)
     scores 0. Empty clusters are skipped.
     """
-    sizes, counts = assignment.group_counts()
+    sizes, counts = assignment.group_counts
     live = sizes > 0
     share = counts[live] / sizes[live, None]
     r = instance.group_ratios
@@ -379,7 +396,7 @@ def additive_violation(instance: ClusteringInstance, profile: FairnessProfile,
     """
     if len(profile) != instance.ell:
         raise ValueError("profile length does not match number of groups")
-    sizes, counts = assignment.group_counts()
+    sizes, counts = assignment.group_counts
     over = counts - np.asarray(profile.alpha) * sizes[:, None]
     under = np.asarray(profile.beta) * sizes[:, None] - counts
     return float(max(0.0, over.max(), under.max()))
@@ -418,7 +435,7 @@ def build_report(instance: ClusteringInstance, profile: FairnessProfile,
         cof = fair_cost / vanilla_cost
     else:
         cof = 1.0 if fair_cost == 0 else None
-    sizes, counts = assignment.group_counts()
+    sizes, counts = assignment.group_counts
     return FairnessReport(
         n=instance.n,
         group_sizes=tuple(int(s) for s in instance.membership.sum(axis=0)),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .instance import Assignment, ClusteringInstance, nearest_assignment
 
@@ -133,16 +134,22 @@ def _d_sample_centers(instance: ClusteringInstance, rng: np.random.Generator,
 def _swap_pass(dist_cf: np.ndarray, centers: list[int], threshold: float):
     """Best single swap (f_out, f_in); returns (new_cost, f_out, f_in) or None.
 
-    Uses the nearest/second-nearest decomposition so each candidate swap is
-    evaluated in O(n) without re-scanning the whole center set.
+    With d1, d2 each client's nearest and second-nearest center distances and
+    D the (n, m - k) block of distances to the unopened facilities, a client
+    served after the swap pays M1 = min(d1, D) unless f_out was its nearest
+    center, in which case it pays min(d2, D) = M1 + G. So every swap's cost is
+    ``M1.sum(0) + onehot(nearest) @ G``: one gather, two n x (m - k) buffers
+    and O(n (m - k)) work per pass, whatever k is. Ties go to the first
+    row-major (position of f_out, index of f_in).
     """
     n, m = dist_cf.shape
+    k = len(centers)
     sub = dist_cf[:, centers]                       # (n, k)
     order = np.argsort(sub, axis=1, kind="stable")
-    min1_idx = order[:, 0]
-    min1 = sub[np.arange(n), min1_idx]
-    min2 = sub[np.arange(n), order[:, 1]] if len(centers) > 1 else np.full(n, np.inf)
-    cost = min1.sum()
+    nearest = order[:, 0]
+    d1 = sub[np.arange(n), nearest]
+    d2 = sub[np.arange(n), order[:, 1]] if k > 1 else np.full(n, np.inf)
+    cost = d1.sum()
 
     in_set = np.zeros(m, dtype=bool)
     in_set[centers] = True
@@ -150,15 +157,22 @@ def _swap_pass(dist_cf: np.ndarray, centers: list[int], threshold: float):
     if candidates.size == 0:
         return None
 
-    best = None
-    for pos, f_out in enumerate(centers):
-        base = np.where(min1_idx == pos, min2, min1)  # serve cost without f_out
-        new_costs = np.minimum(base[:, None], dist_cf[:, candidates]).sum(axis=0)
-        j = int(np.argmin(new_costs))
-        if best is None or new_costs[j] < best[0]:
-            best = (float(new_costs[j]), f_out, int(candidates[j]))
-    if best is not None and best[0] < threshold * cost:
-        return best
+    # take keeps the block C-ordered (dist_cf[:, candidates] is F-ordered),
+    # so the sparse product below reads it without a third copy
+    m1 = np.take(dist_cf, candidates, axis=1)       # becomes M1 in place
+    gain = np.minimum(d2[:, None], m1)
+    np.minimum(d1[:, None], m1, out=m1)
+    gain -= m1
+    # a sparse (k, n) one-hot of ``nearest``: its product is O(n (m - k)) and
+    # never wakes BLAS, whose first dense product alone adds ~0.9 MB of RSS
+    indptr = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(nearest, minlength=k), out=indptr[1:])
+    onehot = csr_array((np.ones(n), np.argsort(nearest, kind="stable"), indptr), shape=(k, n))
+    new_costs = m1.sum(axis=0) + onehot @ gain      # (k, m - k)
+    pos, j = divmod(int(np.argmin(new_costs)), candidates.size)
+    best = float(new_costs[pos, j])
+    if best < threshold * cost:
+        return best, centers[pos], int(candidates[j])
     return None
 
 

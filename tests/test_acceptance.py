@@ -32,6 +32,7 @@ from faircluster.vanilla import (
     gonzalez_k_center,
     kmeans,
     local_search_k_median,
+    solve_vanilla,
 )
 
 from util import (
@@ -57,7 +58,7 @@ def pipeline_runs():
         overlap = 1 + (i % 2)
         inst = random_euclidean_instance(rng, p=p, delta_overlap=overlap)
         profile = delta_to_profile(inst, knob)
-        result = fair_clustering(inst, profile, default_solver_for(p), seed=i)
+        result = fair_clustering(solve_vanilla(inst, default_solver_for(p), seed=i), profile)
         runs.append((inst, profile, result))
     return runs
 
@@ -123,8 +124,8 @@ def test_criterion_3_table3_grid(bundled_instance):
     for k in range(2, 11):
         for knob in (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
             cell = inst.with_k(k)
-            res = fair_clustering(cell, delta_to_profile(cell, knob),
-                                  SolverId.K_MEANS_LLOYD, seed=7)
+            res = fair_clustering(solve_vanilla(cell, SolverId.K_MEANS_LLOYD, seed=7),
+                                  delta_to_profile(cell, knob))
             lam_table[(k, knob)] = res.lambda_observed
     lam_max = max(lam_table.values())
     ok = lam_max <= hard_bound + 1e-9
@@ -176,7 +177,8 @@ def test_criterion_5_vacuous_identity():
                       (2.0, SolverId.K_MEANS_LLOYD),
                       (math.inf, SolverId.K_CENTER_GONZALEZ)):
         inst = random_euclidean_instance(rng, n=12, m=5, k=3, p=p)
-        res = fair_clustering(inst, FairnessProfile.vacuous(inst.ell), solver, seed=9)
+        res = fair_clustering(solve_vanilla(inst, solver, seed=9),
+                              FairnessProfile.vacuous(inst.ell))
         same_phi = bool(np.array_equal(res.solution.phi, res.vanilla.phi))
         same_cost = res.solution.cost_p == res.vanilla.cost_p
         zero = res.lambda_observed == 0.0 and res.fair.rounding_iterations == 0
@@ -193,7 +195,7 @@ def test_criterion_6_k_center_pipeline():
         inst = random_euclidean_instance(rng, n=int(rng.integers(6, 10)),
                                          m=4, k=2, p=math.inf)
         profile = delta_to_profile(inst, float(rng.choice([0.2, 0.5])))
-        res = fair_clustering(inst, profile, SolverId.K_CENTER_GONZALEZ, seed=trial)
+        res = fair_clustering(solve_vanilla(inst, SolverId.K_CENTER_GONZALEZ, seed=trial), profile)
         g = res.fair.guess
         multiset = inst.dist_cf[:, list(res.solution.opened)].ravel()
         if not np.any(multiset == g):
@@ -265,7 +267,7 @@ def test_criterion_8_almost_fair_lp_ordering():
         inst = random_euclidean_instance(rng, n=int(rng.integers(6, 9)), m=3, k=2,
                                          p=float(rng.choice([1.0, 2.0])))
         profile = delta_to_profile(inst, 0.2)
-        run = fair_clustering(inst, profile, default_solver_for(inst.p), seed=trial)
+        run = fair_clustering(solve_vanilla(inst, default_solver_for(inst.p), seed=trial), profile)
         aflp = almost_fair_lp(inst, profile, lam=run.lambda_observed)
         if aflp > run.solution.cost_p + 1e-6 * max(1.0, run.solution.cost_p):
             lower_ok = False
@@ -317,7 +319,8 @@ def test_criterion_10_desk_scale_runtime():
         })
         inst = ingest(cfg).instance.with_k(4)
         t0 = time.perf_counter()
-        fair_clustering(inst, delta_to_profile(inst, 0.2), SolverId.K_MEANS_LLOYD, seed=3)
+        fair_clustering(solve_vanilla(inst, SolverId.K_MEANS_LLOYD, seed=3),
+                        delta_to_profile(inst, 0.2))
         times[n] = time.perf_counter() - t0
     ok = times[1000] < 60.0
     growth_a = times[500] / max(times[250], 1e-9)

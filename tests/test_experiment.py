@@ -1,9 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 import faircluster.experiment as experiment
+import faircluster.fair as fair
+import faircluster.instance as instance_mod
 from faircluster.cli import main as cli_main
 from faircluster.config import config_from_mapping
 from faircluster.datasets import write_synthetic_csv
@@ -75,11 +78,11 @@ def test_cell_failure_is_isolated(small_csv, tmp_path, monkeypatch):
     real = experiment.fair_clustering
     calls = {"n": 0}
 
-    def flaky(instance, profile, solver, seed=0):
+    def flaky(vanilla, profile):
         calls["n"] += 1
         if calls["n"] == 1:
             raise RuntimeError("synthetic cell failure")
-        return real(instance, profile, solver, seed)
+        return real(vanilla, profile)
 
     monkeypatch.setattr(experiment, "fair_clustering", flaky)
     cfg = make_config(small_csv, tmp_path / "out")
@@ -88,6 +91,80 @@ def test_cell_failure_is_isolated(small_csv, tmp_path, monkeypatch):
     statuses = list(summary.statuses)
     assert statuses.count("ok") == 3
     assert any("synthetic cell failure" in s for s in statuses)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_vanilla_solve_per_k(small_csv, tmp_path, monkeypatch, jobs):
+    real = fair.solve_vanilla
+    solved = []
+
+    def counting(instance, solver, seed=0):
+        solved.append(instance.k)
+        return real(instance, solver, seed)
+
+    monkeypatch.setattr(fair, "solve_vanilla", counting)
+    cfg = make_config(small_csv, tmp_path / "out", jobs=jobs,
+                      delta_values=[0.1, 0.2, "vacuous"])
+    summary = experiment.run_experiment(cfg)
+    assert summary.all_ok
+    assert sorted(solved) == [2, 3]
+    report = json.loads(summary.report_path.read_text())
+    for k in (2, 3):
+        cells = [c for c in report["cells"] if c["k"] == k]
+        assert len(cells) == 3
+        # every delta cell of a k reports the k's one solve
+        assert len({c["timings_ms"]["vanilla"] for c in cells}) == 1
+        assert len({c["vanilla_cost"] for c in cells}) == 1
+        assert all(set(c["timings_ms"]) == {"vanilla", "fair_assignment"} for c in cells)
+
+
+def test_vanilla_time_charged_to_first_cell_of_k(small_csv, tmp_path, monkeypatch):
+    real = fair.solve_vanilla
+
+    def slow(instance, solver, seed=0):
+        time.sleep(0.25)
+        return real(instance, solver, seed)
+
+    monkeypatch.setattr(fair, "solve_vanilla", slow)
+    cfg = make_config(small_csv, tmp_path / "out", k_values=[2],
+                      delta_values=["vacuous", "vacuous"])
+    first, second = json.loads(experiment.run_experiment(cfg).report_path.read_text())["cells"]
+    assert first["timings_ms"]["vanilla"] == second["timings_ms"]["vanilla"] >= 250.0
+    # so the cells' wall_ms still add up to the run: the solve counts once
+    assert first["wall_ms"] >= 250.0 > second["wall_ms"]
+
+
+def test_vanilla_failure_fails_only_that_k(small_csv, tmp_path, monkeypatch):
+    real = fair.solve_vanilla
+
+    def failing_k3(instance, solver, seed=0):
+        if instance.k == 3:
+            raise RuntimeError("synthetic vanilla failure")
+        return real(instance, solver, seed)
+
+    monkeypatch.setattr(fair, "solve_vanilla", failing_k3)
+    summary = experiment.run_experiment(make_config(small_csv, tmp_path / "out"))
+    report = json.loads(summary.report_path.read_text())
+    statuses = {(c["k"], c["delta"]): c["status"] for c in report["cells"]}
+    assert statuses == {
+        (2, 0.2): "ok", (2, "vacuous"): "ok",
+        (3, 0.2): "failed: synthetic vanilla failure",
+        (3, "vacuous"): "failed: synthetic vanilla failure",
+    }
+
+
+def test_one_distance_matrix_per_run(small_csv, tmp_path, monkeypatch):
+    real = instance_mod.cdist
+    shapes = []
+
+    def counting(a, b, *args, **kwargs):
+        shapes.append((len(a), len(b)))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(instance_mod, "cdist", counting)
+    cfg = make_config(small_csv, tmp_path / "out", delta_values=[0.1, 0.2, "vacuous"])
+    assert experiment.run_experiment(cfg).all_ok
+    assert shapes == [(80, 80)]
 
 
 def test_lp_floor_warning_recorded(tmp_path, monkeypatch):
@@ -190,11 +267,11 @@ class TestCli:
         real = experiment.fair_clustering
         calls = {"n": 0}
 
-        def flaky(instance, profile, solver, seed=0):
+        def flaky(vanilla, profile):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("boom")
-            return real(instance, profile, solver, seed)
+            return real(vanilla, profile)
 
         monkeypatch.setattr(experiment, "fair_clustering", flaky)
         cfg = self.write_cfg(tmp_path, small_csv, max_points=40)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,51 @@ class TestRuntimeChecks:
         with pytest.raises(FairnessInfeasibleError, match="group 1"):
             fair_assignment(FairAssignmentProblem(inst, (0, 1), prof))
 
+    def test_lp2_that_never_fixes_a_variable_stalls(self, monkeypatch):
+        # an LP2 "vertex" that spreads each client evenly over its pairs meets
+        # every assignment row and fixes nothing; each pass can then only drop
+        # rows, so the loop must stop with the stall error within |S|(ell+1)+1
+        # solves, well inside its iteration budget
+        problem, sol = self._fractional_problem()
+        solves = []
+
+        def spread(model):
+            clients = model.a_eq.tocsc().indices
+            solves.append(model.num_vars)
+            return LpSolution(status=LpStatus.OPTIMAL, objective=0.0,
+                              values=1.0 / np.bincount(clients)[clients])
+
+        monkeypatch.setattr(fair_module, "solve_lp", spread)
+        with pytest.raises(SolverError, match="stalled"):
+            iterative_round(problem, sol)
+        assert 1 <= len(solves) <= len(problem.opened) * (problem.instance.ell + 1) + 1
+        assert len(set(solves)) == 1  # no variable was ever fixed
+
+    def test_k_center_radius_check_fires(self, monkeypatch):
+        # clients on a line at 0, 1 and 2 + e, centers at the two ends: G* = 1,
+        # and client 1 is e = 1e-7 farther from the far center. Rounding only
+        # assigns along LP variables, all within G*, so a doctored vertex from
+        # check_feasible cannot move a client past G*; the rounding is doctored
+        e = 1e-7
+        dmat = np.array([[0.0, 1.0, 2.0 + e], [1.0, 0.0, 1.0 + e], [2.0 + e, 1.0 + e, 0.0]])
+        inst = ClusteringInstance.from_distance_matrix(dmat, [{0, 2}, {1}], k=2, p=math.inf)
+        problem = FairAssignmentProblem(inst, (0, 2), FairnessProfile.vacuous(2))
+        res = fair_assign_k_center(problem)
+        assert res.guess == 1.0 and res.assignment.phi.tolist() == [0, 0, 2]
+
+        real_round = fair_module.iterative_round
+
+        def far_client(problem, sol, layout=None):
+            result = real_round(problem, sol, layout)
+            phi = result.assignment.phi.copy()
+            phi[1] = 2
+            return replace(result, assignment=Assignment(problem.instance, problem.opened, phi))
+
+        monkeypatch.setattr(fair_module, "iterative_round", far_client)
+        with pytest.raises(SolverError,
+                           match=r"rounded radius 1\.0000001 exceeds feasible guess 1\.0"):
+            fair_assign_k_center(problem)
+
     def test_infeasible_lp_after_the_check_is_a_solver_error(self, monkeypatch):
         inst = fixed_instance(p=2.0, n=8, m=3, k=2, seed=9)
         problem = FairAssignmentProblem(inst, (0, 1), delta_to_profile(inst, 0.2))
@@ -315,7 +361,8 @@ class TestFairClustering:
     ])
     def test_vacuous_identity(self, p, solver):
         inst = fixed_instance(p=p, n=10, m=5, k=3, seed=10)
-        res = fair_clustering(inst, FairnessProfile.vacuous(inst.ell), solver, seed=13)
+        res = fair_clustering(solve_vanilla(inst, solver, seed=13),
+                              FairnessProfile.vacuous(inst.ell))
         assert np.array_equal(res.solution.phi, res.vanilla.phi)
         assert res.solution.cost_p == res.vanilla.cost_p  # bit-identical
         assert res.lambda_observed == 0.0
@@ -328,7 +375,8 @@ class TestFairClustering:
             p = float(rng.choice([1.0, 2.0]))
             inst = random_euclidean_instance(rng, n=6, m=3, k=2, p=p)
             prof = delta_to_profile(inst, float(rng.choice([0.2, 0.5])))
-            res = fair_clustering(inst, prof, default_solver_for(p), seed=int(rng.integers(100)))
+            vanilla = solve_vanilla(inst, default_solver_for(p), seed=int(rng.integers(100)))
+            res = fair_clustering(vanilla, prof)
             opt_vnll = slow_vanilla_opt(inst)
             best_fair = math.inf
             import itertools
@@ -351,16 +399,16 @@ class TestFairClustering:
         alpha = [min(1.0, max(0.0, r - 0.15)) for r in inst.group_ratios]
         prof = FairnessProfile(tuple(alpha), (0.0,) * inst.ell)
         with pytest.raises(FairnessInfeasibleError, match="group"):
-            fair_clustering(inst, prof, SolverId.K_MEDIAN_LOCAL_SEARCH, seed=0)
+            fair_clustering(solve_vanilla(inst, SolverId.K_MEDIAN_LOCAL_SEARCH, seed=0), prof)
 
     def test_report_contents(self):
         inst = fixed_instance(p=2.0, n=12, m=5, k=3, seed=13)
         prof = delta_to_profile(inst, 0.2)
-        res = fair_clustering(inst, prof, SolverId.K_MEANS_LLOYD, seed=4)
+        res = fair_clustering(solve_vanilla(inst, SolverId.K_MEANS_LLOYD, seed=4), prof)
         rep = res.report
         assert sum(rep.cluster_sizes.values()) == inst.n
         assert rep.lambda_max == additive_violation(inst, prof, res.solution)
-        assert set(rep.timings_ms) == {"vanilla", "fair_assignment"}
+        assert set(rep.timings_ms) == {"fair_assignment"}
 
 
 def test_pipeline_fuzz_gate():
@@ -383,7 +431,7 @@ def test_pipeline_fuzz_gate():
         if not inst.is_euclidean and solver is SolverId.K_MEANS_LLOYD:
             solver = SolverId.K_MEDIAN_LOCAL_SEARCH
         knob = float(rng.choice([0.0, 0.05, 0.2, 0.5, 0.8]))
-        res = fair_clustering(inst, delta_to_profile(inst, knob), solver, seed=trial)
+        res = fair_clustering(solve_vanilla(inst, solver, seed=trial), delta_to_profile(inst, knob))
         assert res.lambda_observed <= 4 * inst.delta + 3 + 1e-9
         if res.fair.initial_lp_objective is not None:
             lhs = res.solution.cost_p ** inst.p

@@ -143,7 +143,7 @@ class TestAdditiveViolation:
             opened = sorted(rng.choice(inst.m, size=3, replace=False).tolist())
             phi = [int(rng.choice(opened[:2])) for _ in range(inst.n)]  # opened[2] empty
             asg = Assignment(inst, tuple(opened), phi)
-            sizes, counts = asg.group_counts()
+            sizes, counts = asg.group_counts
             lam, bal = 0.0, {}
             for pos, f in enumerate(opened):
                 members = [v for v in range(inst.n) if phi[v] == f]
@@ -249,6 +249,53 @@ class TestTypes:
             ClusteringInstance.from_distance_matrix(tri, [{0, 1, 2}], k=1, p=1)
         # same matrix passes with validation off
         ClusteringInstance.from_distance_matrix(tri, [{0, 1, 2}], k=1, p=1, validate=False)
+
+    @pytest.mark.parametrize("size,checked", [(500, True), (501, False)])
+    def test_triangle_check_default_boundary(self, size, checked, monkeypatch):
+        import faircluster.instance as instance_mod
+
+        flags = []
+        monkeypatch.setattr(instance_mod, "_validate_distance_matrix",
+                            lambda dmat, check_triangle: flags.append(check_triangle))
+        xs = np.arange(size, dtype=float)
+        ClusteringInstance.from_distance_matrix(np.abs(xs[:, None] - xs), [set(range(size))],
+                                                k=1, p=1)
+        assert flags == [checked]
+
+    def test_with_k_and_with_p_share_computed_arrays(self):
+        rng = np.random.default_rng(4)
+        inst = random_euclidean_instance(rng, n=9, m=4, k=2, p=1.0)
+        fresh = inst.with_k(3)
+        assert "dist_cf" not in fresh.__dict__  # nothing computed, nothing carried
+        names = ("membership", "delta", "group_ratios", "dist_cf", "dist_ff")
+        computed = {name: getattr(inst, name) for name in names}
+        for other in (inst.with_k(3), inst.with_p(math.inf), inst.with_k(1).with_p(2)):
+            for name, value in computed.items():
+                assert getattr(other, name) is value
+        assert inst.with_k(3).k == 3 and inst.with_p(2).p == 2.0
+        assert inst.with_p(math.inf).dist_cf.flags.writeable is False
+
+    def test_group_counts_built_once_and_read_only(self, monkeypatch):
+        from functools import cached_property
+
+        inst = two_group_instance(8)
+        builds = []
+        real = Assignment.group_counts.func
+
+        def counting(self):
+            builds.append(1)
+            return real(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(Assignment, "group_counts")
+        monkeypatch.setattr(Assignment, "group_counts", prop)
+        asg = Assignment(inst, (0, 1), [0, 0, 1, 1, 0, 0, 1, 1])
+        build_report(inst, delta_to_profile(inst, 0.2), asg, vanilla_cost=asg.cost_p)
+        assert builds == [1]  # the report, balance and violation share one table
+        sizes, counts = asg.group_counts
+        assert not sizes.flags.writeable and not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0, 0] = 99
 
     def test_facilities_default_to_clients(self):
         pts = np.array([[0.0], [1.0]])

@@ -16,7 +16,7 @@ from faircluster import (
     fair_clustering,
 )
 from faircluster.instance import nearest_assignment
-from faircluster.vanilla import default_solver_for
+from faircluster.vanilla import default_solver_for, solve_vanilla
 
 from util import (
     random_euclidean_instance,
@@ -179,7 +179,7 @@ class TestAlmostFairLp:
         for _ in range(5):
             inst = random_euclidean_instance(rng, n=7, m=4, k=2, p=2.0)
             prof = delta_to_profile(inst, 0.2)
-            run = fair_clustering(inst, prof, default_solver_for(2.0), seed=1)
+            run = fair_clustering(solve_vanilla(inst, default_solver_for(2.0), seed=1), prof)
             aflp = almost_fair_lp(inst, prof, lam=run.lambda_observed)
             assert aflp <= run.solution.cost_p + 1e-6 * max(1.0, run.solution.cost_p)
 
@@ -197,7 +197,7 @@ class TestAlmostFairLp:
         for trial in range(8):
             inst = random_euclidean_instance(rng, n=6, m=3, k=2, p=1.0)
             prof = delta_to_profile(inst, 0.2)
-            run = fair_clustering(inst, prof, default_solver_for(1.0), seed=trial)
+            run = fair_clustering(solve_vanilla(inst, default_solver_for(1.0), seed=trial), prof)
             lam = run.lambda_observed
             slack_opt = brute_force_assignment(
                 inst, run.solution.opened, prof, lam=lam).opt_asgn

@@ -7,7 +7,9 @@ import pytest
 from faircluster import ClusteringInstance
 from faircluster.instance import nearest_assignment
 from faircluster.vanilla import (
+    SWAP_EPS,
     _farthest_point_fill,
+    _swap_pass,
     gonzalez_k_center,
     kmeans,
     local_search_k_median,
@@ -109,6 +111,106 @@ class TestLocalSearch:
                                               facility_points=fac)
         phi = nearest_assignment(inst, [0, 1])
         assert phi[1] == 0  # tie at distance 5 goes to the lower facility index
+
+
+def brute_swap_costs(dist_cf, centers):
+    """Cost of every swap, rows by position of f_out, columns by f_in ascending,
+    each re-evaluated from scratch over the whole new center set."""
+    candidates = [f for f in range(dist_cf.shape[1]) if f not in centers]
+    costs = np.empty((len(centers), len(candidates)))
+    for pos in range(len(centers)):
+        for col, f_in in enumerate(candidates):
+            trial = list(centers)
+            trial[pos] = f_in
+            costs[pos, col] = dist_cf[:, trial].min(axis=1).sum()
+    return costs, candidates
+
+
+class TestSwapPass:
+    @staticmethod
+    def draws(lattice):
+        rng = np.random.default_rng(61 if lattice else 62)
+        for _ in range(60):
+            n, m = int(rng.integers(1, 14)), int(rng.integers(2, 9))
+            k = int(rng.integers(1, m))
+            if lattice:
+                # few distinct coordinates: duplicate points and many exact ties
+                pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+                fac = rng.integers(0, 3, size=(m, 2)).astype(float)
+            else:
+                pts, fac = rng.random((n, 2)), rng.random((m, 2))
+            inst = ClusteringInstance.from_points(pts, [set(range(n))], k=k, p=1,
+                                                  facility_points=fac)
+            centers = [int(f) for f in rng.choice(m, size=k, replace=False)]
+            yield inst.dist_cf, centers
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_best_swap_matches_brute_force(self, lattice):
+        for dist_cf, centers in self.draws(lattice):
+            n = dist_cf.shape[0]
+            costs, candidates = brute_swap_costs(dist_cf, centers)
+            best = costs.min()
+            if dist_cf[:, centers].min(axis=1).sum() == 0.0:
+                assert _swap_pass(dist_cf, centers, threshold=1.0) is None
+                continue
+            # accept any swap, so the pass reports its best one
+            got = _swap_pass(dist_cf, centers, threshold=math.inf)
+            cost, f_out, f_in = got
+            tol = n * np.finfo(float).eps * max(best, 1.0)
+            assert abs(cost - best) <= tol
+            assert f_out in centers and f_in in candidates
+            assert abs(costs[centers.index(f_out), candidates.index(f_in)] - best) <= tol
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_threshold_decides_between_swap_and_none(self, lattice):
+        for dist_cf, centers in self.draws(lattice):
+            threshold = 1.0 - SWAP_EPS / len(centers)
+            cost = dist_cf[:, centers].min(axis=1).sum()
+            best = brute_swap_costs(dist_cf, centers)[0].min()
+            if abs(best - threshold * cost) <= 1e-9 * max(cost, 1.0):
+                continue  # too close to the threshold to call
+            got = _swap_pass(dist_cf, centers, threshold)
+            assert (got is None) == (best >= threshold * cost)
+
+    def test_exact_ties_go_to_the_first_row_major_swap(self):
+        # integer points on a line: every swap cost is an exact integer sum,
+        # so ties are exact and the pick is the first (position of f_out, f_in)
+        rng = np.random.default_rng(63)
+        tied = 0
+        for _ in range(80):
+            m = int(rng.integers(3, 9))
+            k = int(rng.integers(2, m))
+            inst = line_fc(rng.integers(0, 6, size=m), k=k, p=1)
+            centers = [int(f) for f in rng.choice(m, size=k, replace=False)]
+            costs, candidates = brute_swap_costs(inst.dist_cf, centers)
+            if inst.dist_cf[:, centers].min(axis=1).sum() == 0.0:
+                continue
+            first = np.flatnonzero(costs.ravel() == costs.min())
+            tied += len(first) > 1
+            pos, col = divmod(int(first[0]), len(candidates))
+            assert _swap_pass(inst.dist_cf, centers, threshold=math.inf) == \
+                (costs.min(), centers[pos], candidates[col])
+        assert tied >= 20
+
+    def test_single_center_and_single_candidate(self):
+        inst = line_fc([0, 1, 5, 6], k=1, p=1)
+        # k = 1: with no second-nearest center, the swap moves every client
+        assert _swap_pass(inst.dist_cf, [0], threshold=1.0) == (10.0, 0, 1)
+        # m = k + 1: one candidate; giving up 0 for 1 leaves cost 1, giving up 9 costs 8
+        inst3 = line_fc([0, 1, 9], k=2, p=1)
+        assert _swap_pass(inst3.dist_cf, [0, 2], threshold=math.inf) == (1.0, 0, 1)
+
+    def test_none_at_a_local_optimum(self):
+        # the median of a line is the 1-median; no single swap improves it
+        inst = line_fc([0, 1, 2, 3, 10], k=1, p=1)
+        assert _swap_pass(inst.dist_cf, [2], threshold=1.0 - SWAP_EPS) is None
+        # two well-separated pairs with a center in each: also a local optimum
+        inst2 = line_fc([0, 1, 20, 21], k=2, p=1)
+        assert _swap_pass(inst2.dist_cf, [0, 2], threshold=1.0 - SWAP_EPS / 2) is None
+
+    def test_no_candidates_returns_none(self):
+        inst = line_fc([0, 4], k=2, p=1)
+        assert _swap_pass(inst.dist_cf, [0, 1], threshold=math.inf) is None
 
 
 class TestKMeans:
