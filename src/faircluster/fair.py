@@ -9,15 +9,17 @@ fixed. The result violates each fairness constraint by at most 4*Delta + 3
 additively and costs no more than the initial LP optimum.
 
 For the bottleneck norm (p = inf) there is no linear objective; instead the
-optimum radius is guessed by binary search over the pairwise distances and
-a feasibility LP restricted to in-range pairs is rounded the same way.
+optimum radius is guessed by ``bottleneck_search`` over the n x |S| block
+of client-to-S distances and a feasibility LP restricted to in-range pairs
+is rounded the same way.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .instance import (
     additive_violation,
     bottleneck_search,
     build_report,
-    nearest_assignment,
 )
 from .lp import (
     INTEGRALITY_TOL,
@@ -78,7 +79,8 @@ class FairAssignmentProblem:
     """Fair p-assignment instance: clients of ``instance`` against fixed centers.
 
     The norm is the instance's: ``p`` reads ``instance.p``, and a problem in
-    another norm is built on ``instance.with_p(...)``.
+    another norm is built on ``instance.with_p(...)``. The fair stage reads
+    distances only from ``dist`` and numbers LP variables only by ``pairs``.
     """
 
     instance: ClusteringInstance
@@ -99,17 +101,26 @@ class FairAssignmentProblem:
     def p(self) -> float:
         return self.instance.p
 
-    @property
+    @cached_property
     def dist(self) -> np.ndarray:
-        """(n, |S|) distances restricted to opened facilities."""
-        return self.instance.dist_cf[:, list(self.opened)]
+        """(n, |S|) distances to the opened facilities; built once, read-only."""
+        d = self.instance.dist_cf[:, list(self.opened)]
+        d.setflags(write=False)
+        return d
 
+    @cached_property
+    def cost(self) -> tuple[np.ndarray, float]:
+        """Finite-p LP objective ((d/s)^p, s^p), s a power of two ~ max d for
+        conditioning; built once, the array read-only."""
+        scale = pow2_scale(float(self.dist.max()))
+        c = (self.dist / scale) ** self.p
+        c.setflags(write=False)
+        return c, scale**self.p
 
-def _pair_cost(problem: FairAssignmentProblem):
-    """Scaled per-pair objective coefficients: ((d/s)^p, s^p)."""
-    d = problem.dist
-    scale = pow2_scale(float(d.max()))
-    return (d / scale) ** problem.p, scale**problem.p
+    def pairs(self, radius: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+        """LP variable layout: client and opened position ``(v, j)`` of each
+        pair at distance <= radius, row-major (all pairs for finite p)."""
+        return np.nonzero(self.dist <= radius)
 
 
 def _assignment_lp(problem: FairAssignmentProblem, v: np.ndarray, j: np.ndarray,
@@ -149,22 +160,21 @@ def build_fair_lp(problem: FairAssignmentProblem) -> LpModel:
     """The fair-assignment relaxation: minimize sum d(v,f)^p x_{v,f} over x in [0,1]
     with per-(facility, group) ratio rows and one-assignment rows per client.
 
-    Variables are the n x |S| pairs in row-major order. Distances are
-    pre-scaled by a power of two for conditioning; the model's
-    ``objective_scale`` restores reported objectives to d^p units.
+    Variables are all n x |S| pairs (``problem.pairs()``). The objective is
+    ``problem.cost``; the model's ``objective_scale`` restores reported
+    objectives to d^p units.
     """
     if math.isinf(problem.p):
         raise ValueError("p = inf has no linear objective; use build_fair_feasibility_lp")
-    cost, scale_p = _pair_cost(problem)
-    n, s = cost.shape
-    v, j = np.divmod(np.arange(n * s), s)
-    return _assignment_lp(problem, v, j, cost.ravel(), scale_p)
+    v, j = problem.pairs()
+    cost, scale_p = problem.cost
+    return _assignment_lp(problem, v, j, cost[v, j], scale_p)
 
 
 def build_fair_feasibility_lp(problem: FairAssignmentProblem, guess: float) -> LpModel:
     """Feasibility system for p = inf: same rows as the fair LP but no objective,
-    with variables only for pairs at distance <= guess (row-major order)."""
-    v, j = np.nonzero(problem.dist <= guess)
+    with variables only for pairs at distance <= guess (``problem.pairs(guess)``)."""
+    v, j = problem.pairs(guess)
     return _assignment_lp(problem, v, j, np.zeros(v.size), 1.0)
 
 
@@ -181,7 +191,7 @@ def _build_lp2(problem: FairAssignmentProblem, v: np.ndarray, j: np.ndarray,
     if math.isinf(problem.p):
         c, scale_p = np.zeros(nnz), 1.0
     else:
-        cost, scale_p = _pair_cost(problem)
+        cost, scale_p = problem.cost
         c = cost[v, j]
     # window g of facility j: g = 0 its load, g = 1 + i its group-i load
     member = np.concatenate([np.ones((nnz, 1), dtype=bool), inst.membership[v]], axis=1)
@@ -245,37 +255,38 @@ class FairAssignmentResult:
 
 
 def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
-                    layout: tuple[np.ndarray, np.ndarray] | None = None) -> FairAssignmentResult:
+                    guess: float | None = None) -> FairAssignmentResult:
     """Round a basic optimal LP solution to an integral fair-ish assignment.
 
-    ``layout`` gives the client and opened position of each LP variable as
-    index arrays ``(v, j)``; the default is ``build_fair_lp``'s row-major
-    n x |S| order. The loop: fix integral values, rebuild the floor/ceil
-    window LP over the fractional support, and at each vertex
-    delete zeros, fix ones (decrementing the residual loads), then drop any
-    per-(facility, group) row and then any per-facility row whose strictly
-    fractional support is at most 2(Delta+1); re-solve and repeat. Every LP
-    solution must assign each of its clients a total of 1 within
-    CONSERVATION_TOL. A pass that makes no progress means the solver returned
-    a non-vertex point; both failures raise SolverError.
+    The LP's variables are ``problem.pairs(guess)``, all pairs when the
+    p = inf radius ``guess`` is None; the result carries ``guess``. The loop:
+    fix integral values, rebuild the floor/ceil window LP over the fractional
+    support, and at each vertex delete zeros, fix ones (decrementing the
+    residual loads), then drop any per-(facility, group) row and then any
+    per-facility row whose strictly fractional support is at most
+    2(Delta+1); re-solve and repeat. Each pass fixes or drops something or
+    raises SolverError as stalled (the solver returned a non-vertex point).
+    SolverError is also raised when an LP solution does not give each of its
+    clients a total of 1 within CONSERVATION_TOL, when the violation exceeds
+    4*Delta + 3, and, for finite p, when the rounded sum d^p exceeds the
+    initial LP optimum (relative 1e-6, absolute 1e-9).
     """
     if lp_solution.status is not LpStatus.OPTIMAL:
         raise ValueError("iterative_round needs an OPTIMAL basic solution")
     inst = problem.instance
     n, s = inst.n, len(problem.opened)
-    opened = np.asarray(problem.opened)
     x = np.asarray(lp_solution.values, dtype=float)
-    v, j = np.divmod(np.arange(n * s), s) if layout is None else map(np.asarray, layout)
-    if v.shape != x.shape or j.shape != x.shape:
+    v, j = problem.pairs(math.inf if guess is None else guess)
+    if v.shape != x.shape:
         raise ValueError("variable layout does not match the LP solution size")
     missing = np.flatnonzero(np.bincount(v, minlength=n) == 0)
     if missing.size:
         raise ValueError(f"client {missing[0]} has no variable in the LP layout")
     _check_conservation(v, x, n)
 
-    phi = np.full(n, -1, dtype=int)
+    pos = np.full(n, -1, dtype=int)   # opened position of each fixed client
     fix, stays = _split_integral(v, x)
-    phi[v[fix]] = opened[j[fix]]
+    pos[v[fix]] = j[fix]
     v, j = v[stays], j[stays]
     t_f, t_fi = _loads(j, x[stays], inst.membership[v], s)
     active_f = np.ones(s, dtype=bool)
@@ -283,12 +294,7 @@ def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
     drop_support = 2 * (inst.delta + 1)
     lp2_objectives: list[float] = []
 
-    iteration = 0
-    max_iters = v.size + 2 * s * (inst.ell + 1) + n + 2
     while v.size:
-        if iteration >= max_iters:
-            raise SolverError("iterative rounding exceeded its iteration budget")
-        iteration += 1
         sol = solve_lp(_build_lp2(problem, v, j, t_f, t_fi, active_f, active_fi))
         if sol.status is not LpStatus.OPTIMAL:
             raise SolverError(f"LP2 became {sol.status.value}; rounding invariant broken")
@@ -296,7 +302,7 @@ def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
         _check_conservation(v, sol.values, n)
 
         fix, stays = _split_integral(v, sol.values)
-        phi[v[fix]] = opened[j[fix]]
+        pos[v[fix]] = j[fix]
         np.subtract.at(t_f, j[fix], 1.0)
         np.subtract.at(t_fi, j[fix], inst.membership[v[fix]])
         progressed = not stays.all()
@@ -315,41 +321,46 @@ def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
                 f"fractional support {frac[:20]}{'...' if len(frac) > 20 else ''}"
             )
 
-    unassigned = np.flatnonzero(phi < 0)
+    unassigned = np.flatnonzero(pos < 0)
     if unassigned.size:
         raise SolverError(f"rounding finished with unassigned clients {unassigned[:10].tolist()}")
-    assignment = Assignment(inst, problem.opened, phi)
+    assignment = Assignment(inst, problem.opened, np.asarray(problem.opened)[pos])
     lam = additive_violation(inst, problem.profile, assignment)
+    if lam > 4 * inst.delta + 3:
+        raise SolverError(f"violation {lam} exceeds the 4*Delta+3 bound {4 * inst.delta + 3}")
     initial_obj = None if math.isinf(problem.p) else lp_solution.objective
+    if initial_obj is not None:
+        rounded = math.fsum(problem.dist[np.arange(n), pos] ** problem.p)
+        if rounded > initial_obj * (1 + 1e-6) + 1e-9:
+            raise SolverError(f"rounded cost {rounded!r} (sum d^p) exceeds the initial "
+                              f"LP optimum {initial_obj!r}")
     return FairAssignmentResult(
         assignment=assignment, lambda_observed=lam,
-        rounding_iterations=iteration,
+        rounding_iterations=len(lp2_objectives),
         initial_lp_objective=initial_obj,
-        lp2_objectives=tuple(lp2_objectives),
+        lp2_objectives=tuple(lp2_objectives), guess=guess,
     )
 
 
 def fair_assign_k_center(problem: FairAssignmentProblem) -> FairAssignmentResult:
     """Bottleneck fair assignment: binary search the smallest fractionally
-    feasible radius G* over the client-facility distance multiset (each probe
-    one feasibility LP), then round the feasible vertex found at G*. Every
+    feasible radius G* over the client-to-S distances (each probe one
+    feasibility LP), then round the feasible vertex found at G*. Every
     assigned distance ends up <= G*, which the result carries as ``guess``."""
     if not math.isinf(problem.p):
         raise ValueError("fair_assign_k_center is the p = inf path")
     _check_aggregate_ratios(problem.instance, problem.profile)
-    d = problem.dist
     # the largest radius is feasible once the aggregate ratios pass
     guess, sol = bottleneck_search(
-        d, lambda radius: check_feasible(build_fair_feasibility_lp(problem, radius)))
+        problem.dist, lambda radius: check_feasible(build_fair_feasibility_lp(problem, radius)))
     if sol is None:
         raise SolverError(f"feasibility LP at the largest radius {guess!r} is infeasible "
                           "though the aggregate ratios pass; solver contract violated")
-    result = iterative_round(problem, sol, layout=np.nonzero(d <= guess))
-    pos = np.searchsorted(problem.opened, result.assignment.phi)
-    dmax = float(np.max(d[np.arange(problem.instance.n), pos]))
-    if dmax > guess + 1e-9:
-        raise SolverError(f"rounded radius {dmax} exceeds feasible guess {guess}")
-    return replace(result, guess=guess)
+    result = iterative_round(problem, sol, guess)
+    radius = result.assignment.cost_p  # the largest assigned distance for p = inf
+    if radius > guess + 1e-9:
+        raise SolverError(f"rounded radius {radius} exceeds feasible guess {guess}")
+    return result
 
 
 def fair_assignment(problem: FairAssignmentProblem) -> FairAssignmentResult:
@@ -361,13 +372,14 @@ def fair_assignment(problem: FairAssignmentProblem) -> FairAssignmentResult:
     nearest-center distance.
     """
     if problem.profile.is_vacuous:
-        inst = problem.instance
-        phi = nearest_assignment(inst, problem.opened)
-        dsel = inst.dist_cf[np.arange(inst.n), phi]
+        d = problem.dist
+        nearest = np.argmin(d, axis=1)  # ties -> lowest facility index
+        dsel = d[np.arange(d.shape[0]), nearest]
         bottleneck = math.isinf(problem.p)
         return FairAssignmentResult(
-            assignment=Assignment(inst, problem.opened, phi), lambda_observed=0.0,
-            rounding_iterations=0,
+            assignment=Assignment(problem.instance, problem.opened,
+                                  np.asarray(problem.opened)[nearest]),
+            lambda_observed=0.0, rounding_iterations=0,
             initial_lp_objective=None if bottleneck else float(np.sum(dsel**problem.p)),
             lp2_objectives=(), guess=float(dsel.max()) if bottleneck else None,
         )

@@ -286,8 +286,8 @@ def lp_norm_cost(instance: ClusteringInstance, opened, phi) -> float:
 class Assignment:
     """A total assignment of clients to opened facilities.
 
-    ``cost_p`` is recomputed on access from the instance, so it can never
-    drift out of sync with ``phi``.
+    ``phi`` is read-only, so ``cost_p`` and ``group_counts`` are computed
+    once, on first access, and can never drift out of sync with it.
     """
 
     instance: ClusteringInstance
@@ -310,7 +310,7 @@ class Assignment:
         if not np.isin(phi, np.asarray(opened)).all():
             raise ValueError("phi assigns a client to a facility outside opened")
 
-    @property
+    @cached_property
     def cost_p(self) -> float:
         return lp_norm_cost(self.instance, self.opened, self.phi)
 

@@ -103,20 +103,21 @@ class LbClusteringResult:
 
 
 def lb_clustering(instance: ClusteringInstance, L: int,
-                  solver_id: SolverId | None = None, seed: int = 0,
-                  subset_cap: int = SUBSET_ENUMERATION_CAP) -> LbClusteringResult:
+                  solver_id: SolverId | None = None, seed: int = 0) -> LbClusteringResult:
     """Lower-bounded (k,p)-clustering by subset enumeration over vanilla centers.
 
-    Enumerates all 2^|S| - 1 nonempty subsets of the instance.k centers S
-    the vanilla solver opens; infeasible subsets (L * |T| > n) are skipped.
+    Enumerates all 2^|S| - 1 nonempty subsets of the instance.k <=
+    SUBSET_ENUMERATION_CAP centers S the vanilla solver opens; infeasible
+    subsets (L * |T| > n) are skipped.
     The rest are solved in increasing order of their nearest-center lower bound until
     that bound exceeds the best cost, which rules out every later subset.
     Ties on cost break to the lexicographically smallest subset, so the
     result is independent of the visiting order. Every cluster of the
     result has size >= L.
     """
-    if instance.k > subset_cap:
-        raise ValueError(f"k={instance.k} exceeds the subset enumeration cap {subset_cap}")
+    if instance.k > SUBSET_ENUMERATION_CAP:
+        raise ValueError(f"k={instance.k} exceeds the subset enumeration cap "
+                         f"{SUBSET_ENUMERATION_CAP}")
     if not (1 <= L <= instance.n):
         raise LbInfeasibleError(f"L={L} must lie in [1, n={instance.n}]")
     if solver_id is None:

@@ -26,7 +26,7 @@ INTEGRALITY_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
-    """Numerical failure that survived the retry ladder."""
+    """An LP solve ended unclassified, or its solution broke a rounding invariant."""
 
 
 class LpStatus(Enum):
@@ -112,32 +112,25 @@ _STATUS_MAP = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDE
 
 
 def solve_lp(model: LpModel) -> LpSolution:
-    """Solve to optimality at a vertex of the feasible region.
+    """Solve to optimality at a vertex with one HiGHS dual simplex call.
 
-    Tries dual simplex first, then HiGHS' own choice as a restart. Statuses
-    INFEASIBLE / UNBOUNDED are exact classifications; anything else that is
-    not OPTIMAL raises SolverError with the backend diagnostics.
+    Statuses INFEASIBLE / UNBOUNDED are exact classifications; any other
+    non-OPTIMAL status raises SolverError with the backend diagnostics.
     """
-    last = None
-    for method in ("highs-ds", "highs"):
-        res = linprog(model.c, A_ub=model.a_ub, b_ub=model.b_ub, A_eq=model.a_eq,
-                      b_eq=model.b_eq, bounds=model.bounds, method=method)
-        last = res
-        if res.status in _STATUS_MAP:
-            status = _STATUS_MAP[res.status]
-            if status is not LpStatus.OPTIMAL:
-                return LpSolution(status=status, values=None, objective=None)
-            values = np.asarray(res.x, dtype=float)
-            values.setflags(write=False)
-            return LpSolution(
-                status=LpStatus.OPTIMAL,
-                values=values,
-                objective=float(res.fun) * model.objective_scale,
-            )
-    raise SolverError(
-        f"LP solve failed: status={last.status} message={last.message!r} "
-        f"({model.num_vars} vars, {model.num_constraints} rows)"
-    )
+    res = linprog(model.c, A_ub=model.a_ub, b_ub=model.b_ub, A_eq=model.a_eq,
+                  b_eq=model.b_eq, bounds=model.bounds, method="highs-ds")
+    status = _STATUS_MAP.get(res.status)
+    if status is None:
+        raise SolverError(
+            f"LP solve failed: status={res.status} message={res.message!r} "
+            f"({model.num_vars} vars, {model.num_constraints} rows)"
+        )
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status=status, values=None, objective=None)
+    values = np.asarray(res.x, dtype=float)
+    values.setflags(write=False)
+    return LpSolution(status=LpStatus.OPTIMAL, values=values,
+                      objective=float(res.fun) * model.objective_scale)
 
 
 def check_feasible(model: LpModel) -> LpSolution | None:

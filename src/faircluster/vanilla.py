@@ -21,6 +21,8 @@ from .instance import Assignment, ClusteringInstance, nearest_assignment
 
 # local search takes a swap only if it cuts the cost by more than SWAP_EPS / k of it
 SWAP_EPS = 1e-3
+# k-median keeps the best of this many independently seeded local searches
+LOCAL_SEARCH_TRIALS = 5
 # Lloyd stops after this many iterations or below this relative SSE improvement
 LLOYD_MAX_ITERS = 300
 LLOYD_REL_TOL = 1e-6
@@ -62,28 +64,33 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _nearest_unchosen_facility(instance, client, chosen: set[int]) -> int:
-    d = instance.dist_cf[client]
-    order = np.argsort(d, kind="stable")
-    for f in order:
-        if int(f) not in chosen:
-            return int(f)
-    raise RuntimeError("no unchosen facility left")
+def _nearest_unchosen_facility(instance, client: int, chosen: np.ndarray) -> int:
+    """Nearest facility to ``client`` outside the mask ``chosen``, ties to the lowest index."""
+    if chosen.all():
+        raise RuntimeError("no unchosen facility left")
+    return int(np.argmin(np.where(chosen, np.inf, instance.dist_cf[client])))
+
+
+def _fill_centers(instance: ClusteringInstance, centers: list[int], pick) -> list[int]:
+    """Extend ``centers`` to k: each new center is the unchosen facility
+    nearest to the client ``pick(mind)`` returns, where ``mind`` holds every
+    client's distance to the chosen set."""
+    centers = list(centers)
+    chosen = np.zeros(instance.m, dtype=bool)
+    chosen[centers] = True
+    mind = instance.dist_cf[:, centers].min(axis=1)
+    while len(centers) < instance.k:
+        f = _nearest_unchosen_facility(instance, pick(mind), chosen)
+        centers.append(f)
+        chosen[f] = True
+        np.minimum(mind, instance.dist_cf[:, f], out=mind)
+    return centers
 
 
 def _farthest_point_fill(instance: ClusteringInstance, centers: list[int]) -> list[int]:
     """Extend ``centers`` to k by farthest-point additions: each new center is
     the unchosen facility nearest to the client farthest from the chosen set."""
-    centers = list(centers)
-    chosen = set(centers)
-    mind = instance.dist_cf[:, centers].min(axis=1)
-    while len(centers) < instance.k:
-        far = int(np.argmax(mind))  # argmax ties -> lowest client index
-        f = _nearest_unchosen_facility(instance, far, chosen)
-        centers.append(f)
-        chosen.add(f)
-        np.minimum(mind, instance.dist_cf[:, f], out=mind)
-    return centers
+    return _fill_centers(instance, centers, lambda mind: int(np.argmax(mind)))
 
 
 def gonzalez_k_center(instance: ClusteringInstance, seed: int = 0) -> VanillaSolution:
@@ -107,28 +114,18 @@ def gonzalez_k_center(instance: ClusteringInstance, seed: int = 0) -> VanillaSol
 
 # -- k-median local search ---------------------------------------------------
 
-def _d_sample_centers(instance: ClusteringInstance, rng: np.random.Generator,
-                      power: float) -> list[int]:
+def _d_sample_centers(instance: ClusteringInstance, rng: np.random.Generator) -> list[int]:
     """Seed k centers by D-sampling: draw a client with probability
-    proportional to d(client, chosen)^power, open its nearest unchosen facility."""
+    proportional to d(client, chosen), open its nearest unchosen facility."""
     n = instance.n
-    first_client = int(rng.integers(n))
-    chosen: set[int] = set()
-    centers = [_nearest_unchosen_facility(instance, first_client, chosen)]
-    chosen.add(centers[0])
-    mind = instance.dist_cf[:, centers[0]].copy()
-    while len(centers) < instance.k:
-        w = mind**power
-        tot = w.sum()
-        if tot > 0:
-            v = int(rng.choice(n, p=w / tot))
-        else:
-            v = int(rng.integers(n))
-        f = _nearest_unchosen_facility(instance, v, chosen)
-        centers.append(f)
-        chosen.add(f)
-        np.minimum(mind, instance.dist_cf[:, f], out=mind)
-    return centers
+
+    def draw(mind: np.ndarray) -> int:
+        tot = mind.sum()
+        return int(rng.choice(n, p=mind / tot)) if tot > 0 else int(rng.integers(n))
+
+    first = _nearest_unchosen_facility(instance, int(rng.integers(n)),
+                                       np.zeros(instance.m, dtype=bool))
+    return _fill_centers(instance, [first], draw)
 
 
 def _swap_pass(dist_cf: np.ndarray, centers: list[int], threshold: float):
@@ -176,23 +173,20 @@ def _swap_pass(dist_cf: np.ndarray, centers: list[int], threshold: float):
     return None
 
 
-def local_search_k_median(instance: ClusteringInstance, seed: int = 0,
-                          trials: int = 5) -> VanillaSolution:
+def local_search_k_median(instance: ClusteringInstance, seed: int = 0) -> VanillaSolution:
     """Single-swap local search on the sum-of-distances objective.
 
-    Each trial D-samples a start (power 1) and applies the best improving
-    swap while it beats the (1 - SWAP_EPS/k) improvement threshold; the best of
-    ``trials`` independent runs is returned. Solution cost is reported in the
-    instance norm, the search itself optimizes l_1.
+    Each trial D-samples a start and applies the best improving swap while
+    it beats the (1 - SWAP_EPS/k) improvement threshold; the best of
+    LOCAL_SEARCH_TRIALS independent runs is returned. Solution cost is
+    reported in the instance norm, the search itself optimizes l_1.
     """
     k = instance.k
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     threshold = 1.0 - SWAP_EPS / k
     best_centers, best_cost = None, math.inf
-    for t in range(trials):
+    for t in range(LOCAL_SEARCH_TRIALS):
         rng = _rng(seed, 1, t)
-        centers = _d_sample_centers(instance, rng, power=1.0)
+        centers = _d_sample_centers(instance, rng)
         if k < instance.m:
             while True:
                 swap = _swap_pass(instance.dist_cf, centers, threshold)

@@ -39,6 +39,35 @@ def fixed_instance(p=1.0, delta_overlap=1, seed=0, **kw):
     return random_euclidean_instance(rng, p=p, delta_overlap=delta_overlap, **kw)
 
 
+class TestDistanceBlock:
+    def test_block_and_cost_are_read_only_and_built_once(self, monkeypatch):
+        # every LP of the cell, the fair LP and each LP2, reads the one cost
+        rng = np.random.default_rng(31)
+        inst = random_euclidean_instance(rng, n=12, m=5, k=3, p=1.0)
+        problem = FairAssignmentProblem(inst, (0, 1, 2), delta_to_profile(inst, 0.0))
+        real_scale = fair_module.pow2_scale
+        scales = []
+        monkeypatch.setattr(fair_module, "pow2_scale",
+                            lambda dmax: scales.append(dmax) or real_scale(dmax))
+        res = fair_assignment(problem)
+        assert res.rounding_iterations >= 1
+        assert len(scales) == 1
+        assert problem.dist is problem.dist and problem.cost is problem.cost
+        assert not problem.dist.flags.writeable
+        assert not problem.cost[0].flags.writeable
+        np.testing.assert_array_equal(problem.dist, inst.dist_cf[:, [0, 1, 2]])
+
+    def test_finite_p_layout_is_every_pair_row_major(self):
+        inst = fixed_instance(p=2.0, n=9, m=4, k=3, seed=5)
+        problem = FairAssignmentProblem(inst, (0, 2, 3), delta_to_profile(inst, 0.2))
+        n, s = inst.n, len(problem.opened)
+        v, j = problem.pairs()
+        expected_v, expected_j = np.divmod(np.arange(n * s), s)
+        np.testing.assert_array_equal(v, expected_v)
+        np.testing.assert_array_equal(j, expected_j)
+        assert build_fair_lp(problem).num_vars == n * s
+
+
 class TestBuildFairLp:
     def test_vacuous_profile_gives_nearest_assignment_value(self):
         inst = fixed_instance(p=2.0, n=8, m=3, k=2, seed=1)
@@ -253,7 +282,7 @@ class TestRuntimeChecks:
         # an LP2 "vertex" that spreads each client evenly over its pairs meets
         # every assignment row and fixes nothing; each pass can then only drop
         # rows, so the loop must stop with the stall error within |S|(ell+1)+1
-        # solves, well inside its iteration budget
+        # solves: nothing but progress keeps the loop going
         problem, sol = self._fractional_problem()
         solves = []
 
@@ -283,8 +312,8 @@ class TestRuntimeChecks:
 
         real_round = fair_module.iterative_round
 
-        def far_client(problem, sol, layout=None):
-            result = real_round(problem, sol, layout)
+        def far_client(problem, sol, guess=None):
+            result = real_round(problem, sol, guess)
             phi = result.assignment.phi.copy()
             phi[1] = 2
             return replace(result, assignment=Assignment(problem.instance, problem.opened, phi))
@@ -293,6 +322,29 @@ class TestRuntimeChecks:
         with pytest.raises(SolverError,
                            match=r"rounded radius 1\.0000001 exceeds feasible guess 1\.0"):
             fair_assign_k_center(problem)
+
+    def test_violation_above_the_4_delta_plus_3_bound_raises(self, monkeypatch):
+        problem, sol = self._fractional_problem()
+        bound = 4 * problem.instance.delta + 3
+        monkeypatch.setattr(fair_module, "additive_violation", lambda *args: bound + 0.5)
+        with pytest.raises(SolverError, match=rf"exceeds the 4\*Delta\+3 bound {bound}"):
+            iterative_round(problem, sol)
+
+    def test_rounded_cost_above_the_lp_optimum_raises(self):
+        # a reported LP optimum below the rounded sum d^p: halved, and 1e-5
+        # relative below it, just past the 1e-6 tolerance; 1e-7 below passes
+        problem, sol = self._fractional_problem()
+        rounded = iterative_round(problem, sol).assignment.cost_p ** problem.p
+        assert rounded > 1.0
+
+        def reporting(objective):
+            return LpSolution(status=LpStatus.OPTIMAL, values=sol.values, objective=objective)
+
+        for objective in (sol.objective / 2, rounded * (1.0 - 1e-5)):
+            with pytest.raises(SolverError, match="exceeds the initial LP optimum"):
+                iterative_round(problem, reporting(objective))
+        within = rounded * (1.0 - 1e-7)
+        assert iterative_round(problem, reporting(within)).initial_lp_objective == within
 
     def test_infeasible_lp_after_the_check_is_a_solver_error(self, monkeypatch):
         inst = fixed_instance(p=2.0, n=8, m=3, k=2, seed=9)

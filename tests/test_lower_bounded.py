@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from faircluster import ClusteringInstance, LbInfeasibleError, lb_clustering
+import faircluster.lower_bounded as lower_bounded
 from faircluster.lower_bounded import _bottleneck_lb_matching, min_cost_lb_matching
 from faircluster.vanilla import SolverId
 
@@ -172,11 +173,18 @@ class TestLbClustering:
         with pytest.raises(LbInfeasibleError):
             lb_clustering(inst, L=9)
 
-    def test_k_cap(self):
+    def test_k_cap(self, monkeypatch):
+        # k = 21 is one past SUBSET_ENUMERATION_CAP; the cap is checked
+        # before the vanilla solve, so no solve may run
         rng = np.random.default_rng(13)
-        inst = random_euclidean_instance(rng, n=6, m=4, k=3, p=1.0)
-        with pytest.raises(ValueError, match="cap"):
-            lb_clustering(inst, L=1, subset_cap=2)
+        inst = random_euclidean_instance(rng, n=24, m=21, k=21, p=1.0)
+
+        def no_solve(*args):
+            raise AssertionError("the vanilla solve ran before the cap check")
+
+        monkeypatch.setattr(lower_bounded, "solve_vanilla", no_solve)
+        with pytest.raises(ValueError, match="cap 20"):
+            lb_clustering(inst, L=1)
 
     def test_tie_breaks_to_lexicographic_subset(self):
         # symmetric instance: two single-facility subsets with equal cost

@@ -1,12 +1,21 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from faircluster import FairAssignmentProblem, delta_to_profile
 from faircluster.fair import build_fair_lp
-from faircluster.lp import LpModel, LpStatus, check_feasible, csr_from_coo, solve_lp
+import faircluster.lp as lp_module
+from faircluster.lp import (
+    LpModel,
+    LpStatus,
+    SolverError,
+    check_feasible,
+    csr_from_coo,
+    solve_lp,
+)
 
 from util import random_euclidean_instance
 
@@ -24,6 +33,22 @@ def test_infeasible_pair():
     m = LpModel(c=[0.0], a_ub=[[-1.0], [1.0]], b_ub=[-2.0, 1.0], bounds=(0.0, 10.0))
     assert solve_lp(m).status is LpStatus.INFEASIBLE
     assert check_feasible(m) is None
+
+
+def test_unclassified_status_raises_solver_error(monkeypatch):
+    # status 4 is HiGHS' "numerical difficulties": one dual-simplex call, no retry
+    methods = []
+
+    def numerical_trouble(*args, method, **kwargs):
+        methods.append(method)
+        return SimpleNamespace(status=4, message="numerical difficulties", x=None, fun=None)
+
+    monkeypatch.setattr(lp_module, "linprog", numerical_trouble)
+    m = LpModel(c=[1.0], a_ub=[[-1.0]], b_ub=[-3.0], bounds=(0.0, 10.0))
+    with pytest.raises(SolverError,
+                       match=r"status=4 message='numerical difficulties' \(1 vars, 1 rows\)"):
+        solve_lp(m)
+    assert methods == ["highs-ds"]
 
 
 def test_empty_constraints_feasible():
