@@ -261,27 +261,6 @@ def delta_to_profile(instance: ClusteringInstance, delta: float) -> FairnessProf
     return FairnessProfile(alpha=alpha, beta=beta)
 
 
-def lp_norm_cost(instance: ClusteringInstance, opened, phi) -> float:
-    """l_p objective of an assignment in the instance norm:
-    (sum_v d(v, phi(v))^p)^(1/p), or max for p = inf.
-
-    ``phi`` maps every client index to an opened facility index. Finite-p
-    accumulation goes through math.fsum (exact compensated summation).
-    """
-    p = instance.p
-    opened = np.asarray(sorted(opened), dtype=int)
-    phi = np.asarray(phi, dtype=int)
-    if phi.shape != (instance.n,):
-        raise ValueError("phi must assign every client")
-    if not np.isin(phi, opened).all():
-        bad = phi[~np.isin(phi, opened)][0]
-        raise ValueError(f"phi assigns to facility {bad} which is not opened")
-    d = instance.dist_cf[np.arange(instance.n), phi]
-    if math.isinf(p):
-        return float(d.max())
-    return float(math.fsum(d**p) ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class Assignment:
     """A total assignment of clients to opened facilities.
@@ -312,7 +291,14 @@ class Assignment:
 
     @cached_property
     def cost_p(self) -> float:
-        return lp_norm_cost(self.instance, self.opened, self.phi)
+        """l_p objective in the instance norm: (sum_v d(v, phi(v))^p)^(1/p),
+        or the max for p = inf. Finite p sums through math.fsum (exact
+        compensated summation)."""
+        p = self.instance.p
+        d = self.instance.dist_cf[np.arange(self.instance.n), self.phi]
+        if math.isinf(p):
+            return float(d.max())
+        return float(math.fsum(d**p) ** (1.0 / p))
 
     def clusters(self) -> dict[int, np.ndarray]:
         """facility -> array of assigned client indices (opened facilities only)."""

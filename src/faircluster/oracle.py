@@ -2,8 +2,9 @@
 
 These exist to check the main pipeline, so they deliberately share as little
 code with it as possible: optima come from exhaustive enumeration of center
-subsets and assignment maps (vectorized over chunks of the assignment space),
-and the almost-fair LP re-derives a cost floor for any clustering within a
+subsets and assignment maps, whose costs and cluster-by-group count tables are
+Kronecker sums over the clients, built in blocks of at most _CHUNK codes, and
+the almost-fair LP re-derives a cost floor for any clustering within a
 given additive fairness violation.
 """
 
@@ -58,47 +59,90 @@ def _estimate_states(m: int, k: int, n: int) -> float:
     return math.comb(m, k) * float(k) ** n
 
 
-def _assignment_chunks(s: int, n: int):
-    """Yield (count, digits) blocks covering all s^n assignment maps.
+def _best_maps(instance: ClusteringInstance, subsets, size: int, admissible):
+    """The cheapest map overall and the cheapest admissible map, each as
+    (value in the instance norm, (S, phi)), over every subset S in
+    ``subsets`` (all of length ``size``) and every map of the clients onto
+    S's positions; (inf, None) when no map is admissible.
 
-    digits is a (count, n) uint8 array; column j holds the facility position
-    client j is assigned to.
+    Code c sends client v to position (c // size**v) % size. A code's cost
+    sum_v d(v, S[digit_v])^p (the max for p = inf) and its table of cluster
+    sizes and group counts are Kronecker sums, extended one client at a time
+    with client 0 least significant. The low clients, whose codes over all
+    subsets fit in _CHUNK, form one block built once; each high code adds its
+    own precomputed sum and counts to that block. ``admissible`` maps a
+    (codes, size, 1 + ell) table, column 0 the cluster size, to a mask. The
+    table ignores which facilities fill the positions, so every subset shares
+    one mask per block.
     """
-    total = s**n
-    pows = (s ** np.arange(n, dtype=np.int64)).astype(np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        digits = ((codes[:, None] // pows[None, :]) % s).astype(np.uint8)
-        yield digits
+    n, p = instance.n, instance.p
+    op = np.maximum if math.isinf(p) else np.add
+    dist = instance.dist_cf[:, np.asarray(subsets)]
+    if not math.isinf(p):
+        dist = dist**p
+    unit = np.concatenate([np.ones((n, 1), bool), instance.membership], axis=1)
+    unit = unit.astype(np.min_scalar_type(n))
+    diag = np.arange(size)
+
+    def kron(clients):
+        costs = np.zeros((len(subsets), 1))
+        table = np.zeros((1, size, unit.shape[1]), unit.dtype)
+        for v in clients:
+            costs = op(dist[v][:, :, None], costs[:, None, :]).reshape(len(subsets), -1)
+            step = np.zeros((size, 1, size, unit.shape[1]), unit.dtype)
+            step[diag, 0, diag] = unit[v]
+            table = (step + table).reshape(-1, size, unit.shape[1])
+        return costs, table
+
+    n_lo = 0
+    while n_lo < n and len(subsets) * size ** (n_lo + 1) <= _CHUNK:
+        n_lo += 1
+    lo_costs, lo_table = kron(range(n_lo))
+    hi_costs, hi_table = kron(range(n_lo, n))
+    block = lo_table.shape[0]
+    all_codes = np.arange(block)
+    best = [(math.inf, None), (math.inf, None)]
+    for h in range(hi_table.shape[0]):
+        costs = op(lo_costs, hi_costs[:, h, None])
+        ok = np.flatnonzero(admissible(lo_table + hi_table[h]))
+        for slot, codes in enumerate((all_codes, ok)):
+            if codes.size:
+                vals = costs[:, codes]
+                i, j = np.unravel_index(np.argmin(vals), vals.shape)
+                if vals[i, j] < best[slot][0]:
+                    best[slot] = (float(vals[i, j]), (i, h * block + codes[j]))
+
+    def finish(value, found):
+        if found is None:
+            return math.inf, None
+        S = tuple(subsets[found[0]])
+        digits = found[1] // size ** np.arange(n) % size
+        return float(value if math.isinf(p) else value ** (1.0 / p)), (S, np.asarray(S)[digits])
+
+    return [finish(*b) for b in best]
 
 
-def _chunk_costs(digits: np.ndarray, dsub: np.ndarray, p: float) -> np.ndarray:
-    n = digits.shape[1]
-    gathered = dsub[np.arange(n)[None, :], digits]
-    if math.isinf(p):
-        return gathered.max(axis=1)
-    return (gathered**p).sum(axis=1)
+def _best_over_sizes(instance: ClusteringInstance, sizes, admissible):
+    """_best_maps over all center subsets of each size; a smaller size wins ties."""
+    best = [(math.inf, None), (math.inf, None)]
+    for size in sizes:
+        subsets = list(itertools.combinations(range(instance.m), size))
+        found = _best_maps(instance, subsets, size, admissible)
+        best = [f if f[0] < b[0] else b for b, f in zip(best, found)]
+    return best
 
 
-def _chunk_violations(digits: np.ndarray, membership: np.ndarray,
-                      profile: FairnessProfile, s: int) -> np.ndarray:
-    """Max additive violation per enumerated assignment (vectorized).
-
-    Depends only on the assignment pattern and the group structure, never on
-    which facilities realize the positions, so callers can reuse it across
-    every same-size facility subset.
-    """
-    chunk = digits.shape[0]
-    lam = np.zeros(chunk)
-    for j in range(s):
-        onehot = digits == j
-        size = onehot.sum(axis=1)
-        for i in range(len(profile)):
-            cnt = onehot[:, membership[:, i]].sum(axis=1)
-            lam = np.maximum(lam, cnt - profile.alpha[i] * size)
-            lam = np.maximum(lam, profile.beta[i] * size - cnt)
-    return np.maximum(lam, 0.0)
+def _within(profile: FairnessProfile, lam: float, n: int):
+    """Admissible mask: every cluster misses every ratio bound by at most lam.
+    The verdict for each (cluster size, group, count) is tabulated once, one
+    cluster size at a time, in (n + 1)^2 * ell bytes."""
+    alpha, beta = np.asarray(profile.alpha)[:, None], np.asarray(profile.beta)[:, None]
+    count = np.arange(n + 1)
+    ok = np.stack([np.maximum(count - alpha * size, beta * size - count) <= lam + _EPS
+                   for size in range(n + 1)]).ravel()
+    row = np.arange(len(profile)) * (n + 1)
+    per_size = np.intp(len(profile) * (n + 1))
+    return lambda table: ok[table[..., :1] * per_size + row + table[..., 1:]].all(axis=(1, 2))
 
 
 def brute_force_assignment(instance: ClusteringInstance, opened,
@@ -106,32 +150,13 @@ def brute_force_assignment(instance: ClusteringInstance, opened,
                            max_size_guard: int = DEFAULT_GUARD) -> OracleResult:
     """Exhaustive fair-assignment optimum on fixed centers in the instance
     norm, allowing up to ``lam`` additive violation (0 = exactly fair)."""
-    p = instance.p
     opened = tuple(sorted(dict.fromkeys(int(f) for f in opened)))
     s, n = len(opened), instance.n
     states = float(s) ** n
     if states > max_size_guard:
         raise GuardExceededError(f"{states:.3g} assignments exceed guard {max_size_guard}")
-    dsub = instance.dist_cf[:, list(opened)]
-
-    best = math.inf
-    best_digits = None
-    for digits in _assignment_chunks(s, n):
-        costs = _chunk_costs(digits, dsub, p)
-        viol = _chunk_violations(digits, instance.membership, profile, s)
-        ok = viol <= lam + _EPS
-        if ok.any():
-            idx = np.flatnonzero(ok)
-            j = idx[np.argmin(costs[idx])]
-            if costs[j] < best:
-                best = float(costs[j])
-                best_digits = digits[j].copy()
-
-    if best_digits is None:
-        return OracleResult(opt_asgn=math.inf)
-    phi = np.asarray([opened[j] for j in best_digits], dtype=int)
-    value = best if math.isinf(p) else best ** (1.0 / p)
-    return OracleResult(opt_asgn=float(value), witness_asgn=(opened, phi))
+    _, (value, witness) = _best_maps(instance, [opened], s, _within(profile, lam, n))
+    return OracleResult(opt_asgn=value, witness_asgn=witness)
 
 
 def brute_force_fair(instance: ClusteringInstance, profile: FairnessProfile,
@@ -139,81 +164,28 @@ def brute_force_fair(instance: ClusteringInstance, profile: FairnessProfile,
     """Enumerate every center set of size <= k and every assignment map;
     record the overall optimum (opt_vnll) and the exactly-fair optimum
     (opt_fair, +inf when no exactly-fair assignment exists)."""
-    n, m, k, p = instance.n, instance.m, instance.k, instance.p
+    n, m, k = instance.n, instance.m, instance.k
     states = _estimate_states(m, k, n)
     if states > max_size_guard:
         raise GuardExceededError(
             f"about {states:.3g} states (C({m},{k}) * {k}^{n}) exceed guard {max_size_guard}"
         )
-
-    best_any, best_fair = math.inf, math.inf
-    wit_any, wit_fair = None, None
-    for size in range(1, k + 1):
-        subsets = list(itertools.combinations(range(m), size))
-        dsubs = [instance.dist_cf[:, list(S)] for S in subsets]
-        for digits in _assignment_chunks(size, n):
-            # the fairness mask is independent of which facilities fill the
-            # positions, so compute it once and reuse for every subset
-            viol = _chunk_violations(digits, instance.membership, profile, size)
-            ok_idx = np.flatnonzero(viol <= _EPS)
-            for S, dsub in zip(subsets, dsubs):
-                costs = _chunk_costs(digits, dsub, p)
-                j_any = int(np.argmin(costs))
-                if costs[j_any] < best_any:
-                    best_any = float(costs[j_any])
-                    wit_any = (S, digits[j_any].copy())
-                if ok_idx.size:
-                    j = ok_idx[np.argmin(costs[ok_idx])]
-                    if costs[j] < best_fair:
-                        best_fair = float(costs[j])
-                        wit_fair = (S, digits[j].copy())
-
-    def finish(val, wit):
-        if wit is None:
-            return math.inf, None
-        S, digits = wit
-        phi = np.asarray([S[d] for d in digits], dtype=int)
-        v = val if math.isinf(p) else val ** (1.0 / p)
-        return float(v), (tuple(S), phi)
-
-    vnll, wv = finish(best_any, wit_any)
-    fair, wf = finish(best_fair, wit_fair)
-    return OracleResult(opt_vnll=vnll, opt_fair=fair,
-                        witness_vnll=wv, witness_fair=wf)
+    (vnll, wv), (fair, wf) = _best_over_sizes(instance, range(1, k + 1), _within(profile, 0.0, n))
+    return OracleResult(opt_vnll=vnll, opt_fair=fair, witness_vnll=wv, witness_fair=wf)
 
 
 def brute_force_lower_bounded(instance: ClusteringInstance, L: int,
                               max_size_guard: int = DEFAULT_GUARD) -> OracleResult:
     """Exhaustive optimum over center sets and assignments where every opened
     facility serves at least L clients."""
-    n, m, k, p = instance.n, instance.m, instance.k, instance.p
+    n, m, k = instance.n, instance.m, instance.k
     states = _estimate_states(m, k, n)
     if states > max_size_guard:
         raise GuardExceededError(f"about {states:.3g} states exceed guard {max_size_guard}")
-
-    best, wit = math.inf, None
-    for size in range(1, k + 1):
-        if size * L > n:
-            continue
-        subsets = list(itertools.combinations(range(m), size))
-        dsubs = [instance.dist_cf[:, list(S)] for S in subsets]
-        for digits in _assignment_chunks(size, n):
-            sizes = np.stack([(digits == j).sum(axis=1) for j in range(size)], axis=1)
-            ok_idx = np.flatnonzero((sizes >= L).all(axis=1))
-            if not ok_idx.size:
-                continue
-            for S, dsub in zip(subsets, dsubs):
-                costs = _chunk_costs(digits, dsub, p)
-                j = ok_idx[np.argmin(costs[ok_idx])]
-                if costs[j] < best:
-                    best = float(costs[j])
-                    wit = (S, digits[j].copy())
-    if wit is None:
-        return OracleResult(opt_lbnd=math.inf)
-    S, digits = wit
-    phi = np.asarray([S[d] for d in digits], dtype=int)
-    value = best if math.isinf(p) else best ** (1.0 / p)
-    return OracleResult(opt_lbnd=float(value), witness_lbnd=(tuple(S), phi))
+    sizes = [size for size in range(1, k + 1) if size * L <= n]
+    _, (value, witness) = _best_over_sizes(
+        instance, sizes, lambda table: (table[..., 0] >= L).all(axis=1))
+    return OracleResult(opt_lbnd=value, witness_lbnd=witness)
 
 
 def almost_fair_lp(instance: ClusteringInstance, profile: FairnessProfile,

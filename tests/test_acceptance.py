@@ -24,7 +24,7 @@ from faircluster.config import config_from_mapping
 from faircluster.datasets import bundled_dataset_path
 from faircluster.experiment import run_experiment
 from faircluster.ingest import ingest
-from faircluster.instance import additive_violation, lp_norm_cost
+from faircluster.instance import additive_violation
 from faircluster.lower_bounded import min_cost_lb_matching
 from faircluster.vanilla import (
     SolverId,
@@ -159,7 +159,7 @@ def test_criterion_4_reassignment_claims():
         asg = Assignment(inst, vanilla.opened, composed)
         if additive_violation(inst, profile, asg) > 1e-9:
             fair_ok = False
-        lhs = lp_norm_cost(inst, vanilla.opened, composed)
+        lhs = asg.cost_p
         rhs = 2.0 * orc.opt_fair + vanilla.cost_p
         if lhs > rhs + 1e-9 * max(1.0, rhs):
             cost_ok = False

@@ -22,7 +22,7 @@ from faircluster.fair import (
     fair_assign_k_center,
     iterative_round,
 )
-from faircluster.instance import additive_violation, lp_norm_cost, nearest_assignment
+from faircluster.instance import additive_violation, nearest_assignment
 from faircluster.lp import LpSolution, LpStatus, check_feasible, solve_lp
 from faircluster.vanilla import SolverId, default_solver_for, solve_vanilla
 
@@ -519,7 +519,7 @@ class TestReassignmentClaims:
             asg = Assignment(inst, tuple(sorted(set(composed))) if len(set(composed)) <= inst.k
                              else tuple(S), composed)
             assert additive_violation(inst, prof, asg) <= 1e-9
-            lhs = lp_norm_cost(inst, set(composed), composed)
+            lhs = asg.cost_p
             rhs = 2.0 * opt + vanilla.cost_p
             assert lhs <= rhs + 1e-9 * max(1.0, rhs)
         assert checked >= 10

@@ -10,7 +10,6 @@ from faircluster.instance import (
     additive_violation,
     balance,
     build_report,
-    lp_norm_cost,
     nearest_assignment,
 )
 
@@ -24,22 +23,24 @@ def line_instance(client_xs, facility_xs, groups, k, p):
 
 
 class TestLpNormCost:
+    """Assignment.cost_p, the l_p objective in the instance norm."""
+
     def test_p1_is_sum(self):
         inst = line_instance([1, 2, 3], [0], [{0, 1, 2}], k=1, p=1)
-        assert lp_norm_cost(inst, [0], [0, 0, 0]) == pytest.approx(6.0)
+        assert Assignment(inst, (0,), [0, 0, 0]).cost_p == pytest.approx(6.0)
 
     def test_p2_pythagoras(self):
         inst = line_instance([3, -4], [0], [{0, 1}], k=1, p=2)
-        assert lp_norm_cost(inst, [0], [0, 0]) == pytest.approx(5.0)
+        assert Assignment(inst, (0,), [0, 0]).cost_p == pytest.approx(5.0)
 
     def test_pinf_is_max(self):
         inst = line_instance([1, 5, -2], [0], [{0, 1, 2}], k=1, p=math.inf)
-        assert lp_norm_cost(inst, [0], [0, 0, 0]) == 5.0
+        assert Assignment(inst, (0,), [0, 0, 0]).cost_p == 5.0
 
     def test_undefined_facility_rejected(self):
         inst = line_instance([1, 2], [0, 9], [{0, 1}], k=2, p=1)
-        with pytest.raises(ValueError, match="not opened"):
-            lp_norm_cost(inst, [0], [0, 1])
+        with pytest.raises(ValueError, match="outside opened"):
+            Assignment(inst, (0,), [0, 1])
 
     # magnitudes below ~1e-150 underflow when squared inside the Euclidean
     # distance, so keep the generated coordinates in a physical range
@@ -51,8 +52,8 @@ class TestLpNormCost:
         # one facility at 0, clients on a ray: distances are the coordinates
         inst = line_instance(dists, [0.0], [set(range(len(dists)))], k=1, p=1)
         phi = [0] * len(dists)
-        assert lp_norm_cost(inst, [0], phi) == pytest.approx(math.fsum(dists))
-        assert lp_norm_cost(inst.with_p(math.inf), [0], phi) == max(dists)
+        assert Assignment(inst, (0,), phi).cost_p == pytest.approx(math.fsum(dists))
+        assert Assignment(inst.with_p(math.inf), (0,), phi).cost_p == max(dists)
 
 
 def two_group_instance(n=8):
@@ -305,7 +306,8 @@ class TestTypes:
     def test_assignment_cost_recomputed(self):
         inst = two_group_instance(4)
         asg = Assignment(inst, (0, 1), [0, 0, 1, 1])
-        assert asg.cost_p == lp_norm_cost(inst, asg.opened, asg.phi)
+        d = [inst.dist_cf[v, f] for v, f in enumerate([0, 0, 1, 1])]
+        assert asg.cost_p == math.fsum(d)
         with pytest.raises(ValueError):
             Assignment(inst, (0, 1), [0, 0, 9, 1])
 

@@ -202,6 +202,14 @@ class TestLbClustering:
         res = lb_clustering(inst, L=1, seed=5)
         assert res.solution.cost_p <= res.vanilla.cost_p + 1e-9
 
+    def test_pruning_stops_after_the_first_subset(self):
+        # the first subset's cost already lies below every later subset's
+        # nearest-center bound, so exactly one of the 15 subsets is solved;
+        # a pruning test that waited for bound > 2 * best would solve 6
+        inst = random_euclidean_instance(np.random.default_rng(0), n=30, m=8, k=4, p=2.0)
+        res = lb_clustering(inst, L=5, seed=0)
+        assert (res.subsets_evaluated, res.subsets_solved) == (15, 1)
+
     def test_validates_L_and_solves(self):
         rng = np.random.default_rng(15)
         inst = random_euclidean_instance(rng, n=8, m=4, k=2, p=1.0)

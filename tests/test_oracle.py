@@ -15,6 +15,7 @@ from faircluster import (
     delta_to_profile,
     fair_clustering,
 )
+from faircluster import oracle
 from faircluster.instance import nearest_assignment
 from faircluster.vanilla import default_solver_for, solve_vanilla
 
@@ -26,6 +27,11 @@ from util import (
     slow_vanilla_opt,
     slow_violation,
 )
+
+# block sizes for the enumerator: at 4 a size-2 subset triple has an empty low
+# block, at 16 it splits 2 low clients from the rest, and the default spans
+# the whole of a small code space in one block
+CHUNKS = (4, 16, oracle._CHUNK)
 
 
 class TestBruteForceFair:
@@ -45,14 +51,13 @@ class TestBruteForceFair:
         res = brute_force_fair(inst, prof)
         assert res.opt_fair == pytest.approx(math.hypot(1.0, 3.0))
 
-    def test_double_enumeration_cross_check(self):
+    def test_double_enumeration_cross_check(self, monkeypatch):
         # independent itertools enumeration in a different order
         rng = np.random.default_rng(7)
         for _ in range(6):
             inst = random_euclidean_instance(rng, n=5, m=3, k=2,
                                              p=float(rng.choice([1.0, 2.0])))
             prof = delta_to_profile(inst, 0.3)
-            res = brute_force_fair(inst, prof)
             best_any, best_fair = math.inf, math.inf
             for size in (2, 1):  # reversed size order
                 for S in reversed(list(itertools.combinations(range(inst.m), size))):
@@ -61,8 +66,11 @@ class TestBruteForceFair:
                         best_any = min(best_any, c)
                         if slow_violation(inst, prof, S, phi) <= 1e-9:
                             best_fair = min(best_fair, c)
-            assert res.opt_vnll == pytest.approx(best_any, rel=1e-12)
-            assert res.opt_fair == pytest.approx(best_fair, rel=1e-12)
+            for chunk in CHUNKS:
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                res = brute_force_fair(inst, prof)
+                assert res.opt_vnll == pytest.approx(best_any, rel=1e-12)
+                assert res.opt_fair == pytest.approx(best_fair, rel=1e-12)
 
     def test_vnll_never_exceeds_fair(self):
         rng = np.random.default_rng(3)
@@ -102,17 +110,19 @@ class TestBruteForceAssignment:
         res = brute_force_assignment(inst, [1], delta_to_profile(inst, 0.2))
         assert res.opt_asgn == pytest.approx(float((inst.dist_cf[:, 1] ** 2).sum()) ** 0.5)
 
-    def test_cross_check_with_lambda_slack(self):
+    def test_cross_check_with_lambda_slack(self, monkeypatch):
         rng = np.random.default_rng(8)
         for lam in (0.0, 1.0):
             inst = random_euclidean_instance(rng, n=6, m=3, k=2, p=1.0)
             prof = delta_to_profile(inst, 0.2)
-            res = brute_force_assignment(inst, [0, 1], prof, lam=lam)
             expected, _ = slow_fair_assignment_opt(inst, [0, 1], prof, p=1.0, lam=lam)
-            if math.isinf(expected):
-                assert res.fair_infeasible or math.isinf(res.opt_asgn)
-            else:
-                assert res.opt_asgn == pytest.approx(expected, rel=1e-12)
+            for chunk in CHUNKS:
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                res = brute_force_assignment(inst, [0, 1], prof, lam=lam)
+                if math.isinf(expected):
+                    assert res.fair_infeasible or math.isinf(res.opt_asgn)
+                else:
+                    assert res.opt_asgn == pytest.approx(expected, rel=1e-12)
 
     def test_slack_never_hurts(self):
         rng = np.random.default_rng(9)
@@ -124,18 +134,21 @@ class TestBruteForceAssignment:
 
 
 class TestBruteForceLowerBounded:
-    def test_matches_slow_oracle(self):
+    def test_matches_slow_oracle(self, monkeypatch):
         rng = np.random.default_rng(10)
         for _ in range(5):
             inst = random_euclidean_instance(rng, n=6, m=3, k=2, p=1.0)
             L = int(rng.integers(1, 3))
-            res = brute_force_lower_bounded(inst, L)
-            assert res.opt_lbnd == pytest.approx(slow_lower_bounded_opt(inst, L), rel=1e-12)
-            S, phi = res.witness_lbnd
-            counts = {f: 0 for f in S}
-            for f in phi:
-                counts[int(f)] += 1
-            assert all(c >= L for c in counts.values())
+            expected = slow_lower_bounded_opt(inst, L)
+            for chunk in CHUNKS:
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                res = brute_force_lower_bounded(inst, L)
+                assert res.opt_lbnd == pytest.approx(expected, rel=1e-12)
+                S, phi = res.witness_lbnd
+                counts = {f: 0 for f in S}
+                for f in phi:
+                    counts[int(f)] += 1
+                assert all(c >= L for c in counts.values())
 
 
 class TestAlmostFairLp:
