@@ -128,6 +128,8 @@ def _run_cell(inst, solved, delta, config: ExperimentConfig, solver: SolverId,
             "rounding_iterations": run.fair.rounding_iterations,
             "lp_objective": run.fair.initial_lp_objective,
             "radius": run.fair.guess,
+            "radius_probes": run.fair.radius_probes,
+            "radius_classes": run.fair.radius_classes,
             "per_cluster_balance": report.balance,
             "cluster_sizes": report.cluster_sizes,
             "group_counts": {f: list(c) for f, c in report.group_counts.items()},

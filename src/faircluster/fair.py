@@ -9,8 +9,11 @@ fixed. The result violates each fairness constraint by at most 4*Delta + 3
 additively and costs no more than the initial LP optimum.
 
 For the bottleneck norm (p = inf) there is no linear objective; instead the
-optimum radius is guessed by ``bottleneck_search`` over the n x |S| block
-of client-to-S distances and a feasibility LP restricted to in-range pairs
+optimum radius G* is guessed by ``bottleneck_search`` over the n x |S| block
+of client-to-S distances. Each probe is a feasibility LP over signature
+classes, clients with the same membership row and the same in-range
+centers, which are interchangeable in every row of the LP. One feasibility
+LP over the client pairs in range of G* confirms the radius, and its vertex
 is rounded the same way.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -123,23 +126,28 @@ class FairAssignmentProblem:
         return np.nonzero(self.dist <= radius)
 
 
-def _assignment_lp(problem: FairAssignmentProblem, v: np.ndarray, j: np.ndarray,
-                   cost: np.ndarray, scale: float) -> LpModel:
-    """Fair-assignment LP over the variables x_t = x_{v[t], j[t]}.
+def _assignment_lp(problem: FairAssignmentProblem, member: np.ndarray, size: np.ndarray,
+                   v: np.ndarray, j: np.ndarray, cost: np.ndarray, scale: float) -> LpModel:
+    """Fair-assignment LP over the variables x_t = x_{v[t], j[t]}, where unit
+    u stands for ``size[u]`` interchangeable clients of membership row
+    ``member[u]``: one client each in the full LP, a signature class in the
+    p = inf probe LP.
 
-    ``a_ub`` holds two ratio rows per (facility, group), facility-major, for
-    every facility with a variable, then an unsatisfiable empty row per client
-    without one; ``a_eq`` holds one assignment row per other client.
+    ``a_ub`` holds two ratio rows per (facility, group), facility-major, with
+    each coefficient weighted by its unit's size, for every facility with a
+    variable, then an unsatisfiable empty row per unit without one; ``a_eq``
+    holds one assignment row per other unit.
     """
-    inst = problem.instance
-    n, s, ell = inst.n, len(problem.opened), inst.ell
+    n, ell = member.shape
+    s = len(problem.opened)
     nnz = v.size
     live = np.bincount(j, minlength=s) > 0
     first_row = 2 * ell * (np.cumsum(live) - 1)
     rows = first_row[j][:, None, None] + np.arange(2 * ell).reshape(ell, 2)
-    member = inst.membership[v].astype(float)
+    member = member[v].astype(float)
     data = np.stack([member - np.asarray(problem.profile.alpha),
                      np.asarray(problem.profile.beta) - member], axis=2)
+    data *= size[v][:, None, None]
     cols = np.broadcast_to(np.arange(nnz)[:, None, None], rows.shape)
     served = np.bincount(v, minlength=n) > 0
     n_eq = int(served.sum())
@@ -168,14 +176,40 @@ def build_fair_lp(problem: FairAssignmentProblem) -> LpModel:
         raise ValueError("p = inf has no linear objective; use build_fair_feasibility_lp")
     v, j = problem.pairs()
     cost, scale_p = problem.cost
-    return _assignment_lp(problem, v, j, cost[v, j], scale_p)
+    inst = problem.instance
+    return _assignment_lp(problem, inst.membership, np.ones(inst.n), v, j, cost[v, j], scale_p)
 
 
 def build_fair_feasibility_lp(problem: FairAssignmentProblem, guess: float) -> LpModel:
     """Feasibility system for p = inf: same rows as the fair LP but no objective,
     with variables only for pairs at distance <= guess (``problem.pairs(guess)``)."""
     v, j = problem.pairs(guess)
-    return _assignment_lp(problem, v, j, np.zeros(v.size), 1.0)
+    inst = problem.instance
+    return _assignment_lp(problem, inst.membership, np.ones(inst.n), v, j, np.zeros(v.size), 1.0)
+
+
+def _signature_classes(problem: FairAssignmentProblem, radius: float):
+    """Clients grouped by the bits [membership | dist <= radius], which make
+    them interchangeable in every row of the feasibility LP at ``radius``:
+    the first client of each class, classes in sorted key order, and the
+    class sizes."""
+    bits = np.concatenate([problem.instance.membership, problem.dist <= radius], axis=1)
+    _, first, size = np.unique(np.packbits(bits, axis=1), axis=0,
+                               return_index=True, return_counts=True)
+    return first, size
+
+
+def _class_feasibility_lp(problem: FairAssignmentProblem, radius: float) -> LpModel:
+    """The feasibility LP at ``radius`` over signature classes: one variable
+    z_{g,j} per class g and in-range center j, one assignment row per class
+    and the ratio rows weighted by class size. Averaging a feasible x over
+    each class gives a feasible z, and z copied to every member gives a
+    feasible x, so it is feasible exactly where
+    ``build_fair_feasibility_lp(problem, radius)`` is."""
+    first, size = _signature_classes(problem, radius)
+    g, j = np.nonzero(problem.dist[first] <= radius)
+    return _assignment_lp(problem, problem.instance.membership[first], size,
+                          g, j, np.zeros(g.size), 1.0)
 
 
 def _build_lp2(problem: FairAssignmentProblem, v: np.ndarray, j: np.ndarray,
@@ -252,6 +286,8 @@ class FairAssignmentResult:
     initial_lp_objective: float | None    # sum d^p units; None for p = inf
     lp2_objectives: tuple[float, ...]
     guess: float | None = None            # p = inf only: the G* radius
+    radius_probes: int | None = None      # radius search only: LPs solved, confirmation included
+    radius_classes: int | None = None     # radius search only: signature classes at G*
 
 
 def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
@@ -344,23 +380,45 @@ def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
 
 def fair_assign_k_center(problem: FairAssignmentProblem) -> FairAssignmentResult:
     """Bottleneck fair assignment: binary search the smallest fractionally
-    feasible radius G* over the client-to-S distances (each probe one
-    feasibility LP), then round the feasible vertex found at G*. Every
-    assigned distance ends up <= G*, which the result carries as ``guess``."""
+    feasible radius G* over the client-to-S distances, then round the vertex
+    of the full feasibility LP at G*. Each probe solves the LP over signature
+    classes (``_class_feasibility_lp``), feasible at the same radii as the
+    full LP; one full LP then confirms G*. Should solver tolerances make the
+    two disagree there, the search continues upward with full LPs, so a G*
+    is returned only once a full LP has found it feasible. Every assigned
+    distance ends up <= G*, which the result carries as ``guess``, with the
+    number of LPs solved and of classes at G*."""
     if not math.isinf(problem.p):
         raise ValueError("fair_assign_k_center is the p = inf path")
     _check_aggregate_ratios(problem.instance, problem.profile)
-    # the largest radius is feasible once the aggregate ratios pass
-    guess, sol = bottleneck_search(
-        problem.dist, lambda radius: check_feasible(build_fair_feasibility_lp(problem, radius)))
+    probes = 0
+
+    def feasible(model: LpModel) -> LpSolution | None:
+        nonlocal probes
+        probes += 1
+        return check_feasible(model)
+
+    def full(radius: float) -> LpSolution | None:
+        return feasible(build_fair_feasibility_lp(problem, radius))
+
+    guess, _ = bottleneck_search(
+        problem.dist, lambda radius: feasible(_class_feasibility_lp(problem, radius)))
+    sol = full(guess)
+    if sol is None and guess < problem.dist.max():
+        # search the distances above guess: the smaller ones are raised to the first of them
+        above = problem.dist[problem.dist > guess].min()
+        guess, sol = bottleneck_search(np.maximum(problem.dist, above), full)
     if sol is None:
+        # the largest radius is feasible once the aggregate ratios pass
         raise SolverError(f"feasibility LP at the largest radius {guess!r} is infeasible "
                           "though the aggregate ratios pass; solver contract violated")
     result = iterative_round(problem, sol, guess)
     radius = result.assignment.cost_p  # the largest assigned distance for p = inf
-    if radius > guess + 1e-9:
+    # rounding assigns only along pairs with dist <= guess, the same float64 values
+    if radius > guess:
         raise SolverError(f"rounded radius {radius} exceeds feasible guess {guess}")
-    return result
+    return replace(result, radius_probes=probes,
+                   radius_classes=int(_signature_classes(problem, guess)[1].size))
 
 
 def fair_assignment(problem: FairAssignmentProblem) -> FairAssignmentResult:

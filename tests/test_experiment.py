@@ -202,11 +202,18 @@ def test_lb_report(small_csv, tmp_path):
 def test_vacuous_k_center_radius_is_reported(small_csv, tmp_path):
     cfg = make_config(small_csv, tmp_path / "out", k_values=[2], p="inf", max_points=30,
                       delta_values=[0.2, "vacuous"])
-    report = json.loads(experiment.run_experiment(cfg).report_path.read_text())
+    summary = experiment.run_experiment(cfg)
+    report = json.loads(summary.report_path.read_text())
     cells = {c["delta"]: c for c in report["cells"]}
     assert cells["vacuous"]["status"] == "ok"
     assert cells["vacuous"]["radius"] == cells["vacuous"]["fair_cost"]
     assert cells[0.2]["fair_cost"] <= cells[0.2]["radius"]
+    # the search's diagnostics go to report.json only; the vacuous cell runs no search
+    assert cells[0.2]["radius_probes"] >= 1
+    assert 1 <= cells[0.2]["radius_classes"] <= 30
+    assert cells["vacuous"]["radius_probes"] is None
+    assert cells["vacuous"]["radius_classes"] is None
+    assert "radius" not in summary.cells_path.read_text()
 
 
 def test_oracle_report(small_csv, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,8 @@ from faircluster.lp import LpSolution, LpStatus, check_feasible, solve_lp
 from faircluster.vanilla import SolverId, default_solver_for, solve_vanilla
 
 from util import (
+    full_lp_radius_search,
+    make_groups,
     random_euclidean_instance,
     slow_cost,
     slow_fair_assignment_opt,
@@ -37,6 +40,44 @@ from util import (
 def fixed_instance(p=1.0, delta_overlap=1, seed=0, **kw):
     rng = np.random.default_rng(seed)
     return random_euclidean_instance(rng, p=p, delta_overlap=delta_overlap, **kw)
+
+
+def radius_problem(seed):
+    """A p = inf problem rich in distance ties: duplicated points, points on a
+    1/3 lattice or plain normal ones, scaled by 2^-40 .. 2^40, Delta 1 or 2."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(20, 71)), int(rng.integers(2, 6))
+    if seed % 3 == 0:
+        pts = rng.normal(size=(n, 2))[rng.integers(0, n // 3, size=n)]
+    elif seed % 3 == 1:
+        pts = rng.integers(0, 7, size=(n, 2)) / 3
+    else:
+        pts = rng.normal(size=(n, 2))
+    pts = pts * 2.0 ** int(rng.integers(-40, 41))
+    inst = ClusteringInstance.from_points(pts, make_groups(rng, n, int(rng.integers(1, 3))),
+                                          k=k, p=math.inf)
+    opened = tuple(rng.choice(n, size=k, replace=False).tolist())
+    return FairAssignmentProblem(inst, opened,
+                                 delta_to_profile(inst, float(rng.choice([0.0, 0.05, 0.2, 0.5]))))
+
+
+def wide_radius_problem():
+    """|S| = 70 opened centers, so the class key spans more than 64 bits."""
+    rng = np.random.default_rng(70)
+    inst = ClusteringInstance.from_points(rng.integers(0, 9, size=(90, 2)) / 3,
+                                          make_groups(rng, 90, 2), k=70, p=math.inf,
+                                          facility_points=rng.normal(size=(70, 2)) + 1.0)
+    return FairAssignmentProblem(inst, tuple(range(70)), delta_to_profile(inst, 0.05))
+
+
+def rounded_vertex(monkeypatch, problem):
+    """fair_assign_k_center's result and the LP vertex it handed to rounding."""
+    seen = []
+    real_round = fair_module.iterative_round
+    monkeypatch.setattr(fair_module, "iterative_round",
+                        lambda problem, sol, guess=None: seen.append(sol.values)
+                        or real_round(problem, sol, guess))
+    return fair_assign_k_center(problem), seen[0]
 
 
 class TestDistanceBlock:
@@ -302,14 +343,9 @@ class TestRuntimeChecks:
         # clients on a line at 0, 1 and 2 + e, centers at the two ends: G* = 1,
         # and client 1 is e = 1e-7 farther from the far center. Rounding only
         # assigns along LP variables, all within G*, so a doctored vertex from
-        # check_feasible cannot move a client past G*; the rounding is doctored
+        # check_feasible cannot move a client past G*; the rounding is doctored.
+        # The check is exact, so it fires as well with every distance scaled by 2^-40
         e = 1e-7
-        dmat = np.array([[0.0, 1.0, 2.0 + e], [1.0, 0.0, 1.0 + e], [2.0 + e, 1.0 + e, 0.0]])
-        inst = ClusteringInstance.from_distance_matrix(dmat, [{0, 2}, {1}], k=2, p=math.inf)
-        problem = FairAssignmentProblem(inst, (0, 2), FairnessProfile.vacuous(2))
-        res = fair_assign_k_center(problem)
-        assert res.guess == 1.0 and res.assignment.phi.tolist() == [0, 0, 2]
-
         real_round = fair_module.iterative_round
 
         def far_client(problem, sol, guess=None):
@@ -318,10 +354,19 @@ class TestRuntimeChecks:
             phi[1] = 2
             return replace(result, assignment=Assignment(problem.instance, problem.opened, phi))
 
-        monkeypatch.setattr(fair_module, "iterative_round", far_client)
-        with pytest.raises(SolverError,
-                           match=r"rounded radius 1\.0000001 exceeds feasible guess 1\.0"):
-            fair_assign_k_center(problem)
+        for scale in (1.0, 2.0**-40):
+            dmat = scale * np.array([[0.0, 1.0, 2.0 + e], [1.0, 0.0, 1.0 + e],
+                                     [2.0 + e, 1.0 + e, 0.0]])
+            inst = ClusteringInstance.from_distance_matrix(dmat, [{0, 2}, {1}], k=2, p=math.inf)
+            problem = FairAssignmentProblem(inst, (0, 2), FairnessProfile.vacuous(2))
+            res = fair_assign_k_center(problem)
+            assert res.guess == scale and res.assignment.phi.tolist() == [0, 0, 2]
+
+            monkeypatch.setattr(fair_module, "iterative_round", far_client)
+            with pytest.raises(SolverError, match=re.escape(
+                    f"rounded radius {(1.0 + e) * scale} exceeds feasible guess {scale}")):
+                fair_assign_k_center(problem)
+            monkeypatch.setattr(fair_module, "iterative_round", real_round)
 
     def test_violation_above_the_4_delta_plus_3_bound_raises(self, monkeypatch):
         problem, sol = self._fractional_problem()
@@ -392,6 +437,85 @@ class TestKCenterPath:
             opt_radius, _ = slow_fair_assignment_opt(inst, list(opened), prof, p=math.inf)
             assert res.guess <= opt_radius + 1e-12
             assert res.lambda_observed <= 4 * inst.delta + 3 + 1e-9
+
+    @pytest.mark.parametrize("seed", [*range(40), "wide"])
+    def test_class_search_matches_the_full_lp_search(self, monkeypatch, seed):
+        # G*, the vertex rounded and the rounded phi all equal the search that
+        # probes the full LP over every in-range pair
+        problem = wide_radius_problem() if seed == "wide" else radius_problem(seed)
+        guess, sol = full_lp_radius_search(problem)
+        res, vertex = rounded_vertex(monkeypatch, problem)
+        assert res.guess == guess
+        np.testing.assert_array_equal(vertex, sol.values)
+        np.testing.assert_array_equal(res.assignment.phi,
+                                      iterative_round(problem, sol, guess).assignment.phi)
+        assert 1 <= res.radius_classes <= problem.instance.n
+        assert res.radius_probes >= 1
+
+    def test_unconfirmed_class_radius_continues_upward(self, monkeypatch):
+        # the class probe doctored to report feasibility one distinct radius
+        # below the true G*: the full LP there rejects it and the search goes on
+        for seed in range(40):
+            problem = radius_problem(seed)
+            guess, sol = full_lp_radius_search(problem)
+            values = np.unique(problem.dist)
+            at = int(np.searchsorted(values, guess))
+            if at > np.searchsorted(values, problem.dist.min(axis=1).max()):
+                break
+        else:
+            pytest.fail("no seed puts G* above the search's first radius")
+        below = float(values[at - 1])
+        assert check_feasible(build_fair_feasibility_lp(problem, below)) is None
+
+        real_class_lp = fair_module._class_feasibility_lp
+        real_full_lp = fair_module.build_fair_feasibility_lp
+        class_radii, full_radii = [], []
+
+        def class_lp(problem, radius):
+            class_radii.append(radius)
+            return real_class_lp(problem, max(radius, guess) if radius >= below else radius)
+
+        def full_lp(problem, radius):
+            full_radii.append(radius)
+            return real_full_lp(problem, radius)
+
+        monkeypatch.setattr(fair_module, "_class_feasibility_lp", class_lp)
+        monkeypatch.setattr(fair_module, "build_fair_feasibility_lp", full_lp)
+        res = fair_assign_k_center(problem)
+        assert full_radii[0] == below and len(full_radii) >= 2
+        assert all(r > below for r in full_radii[1:])
+        assert res.guess == guess
+        np.testing.assert_array_equal(res.assignment.phi,
+                                      iterative_round(problem, sol, guess).assignment.phi)
+        assert res.radius_probes == len(class_radii) + len(full_radii)
+
+    def test_guess_falls_as_delta_loosens_and_ignores_client_order(self):
+        # centers fixed: a looser profile never needs a larger radius, none
+        # needs less than the vacuous one, and permuting the clients leaves
+        # the class LP, hence G*, exactly as it was
+        for seed in range(5):
+            rng = np.random.default_rng(300 + seed)
+            inst = random_euclidean_instance(rng, n=40, m=6, k=3, p=math.inf,
+                                             delta_overlap=1 + seed % 2)
+            opened = (0, 2, 4)
+            vacuous = fair_assignment(
+                FairAssignmentProblem(inst, opened, FairnessProfile.vacuous(inst.ell))).guess
+            perm = rng.permutation(inst.n)
+            new_index = np.argsort(perm)
+            permuted = ClusteringInstance.from_points(
+                inst.points[perm], [{int(new_index[v]) for v in g} for g in inst.groups],
+                k=3, p=math.inf, facility_points=inst.facility_points)
+            guesses = []
+            for delta in (0.0, 0.05, 0.1, 0.2, 0.5):
+                res = fair_assign_k_center(
+                    FairAssignmentProblem(inst, opened, delta_to_profile(inst, delta)))
+                other = fair_assign_k_center(
+                    FairAssignmentProblem(permuted, opened, delta_to_profile(permuted, delta)))
+                assert other.guess == res.guess
+                assert other.radius_classes == res.radius_classes
+                guesses.append(res.guess)
+            assert guesses == sorted(guesses, reverse=True)
+            assert guesses[-1] >= vacuous
 
     def test_infeasible_profile_reports_group(self):
         inst = fixed_instance(p=math.inf, n=8, m=3, k=2, seed=9, delta_overlap=1)

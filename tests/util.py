@@ -12,6 +12,9 @@ import math
 import numpy as np
 
 from faircluster import ClusteringInstance
+from faircluster.fair import build_fair_feasibility_lp
+from faircluster.instance import bottleneck_search
+from faircluster.lp import check_feasible
 
 
 def make_groups(rng, n: int, delta_overlap: int):
@@ -93,6 +96,13 @@ def slow_fair_assignment_opt(instance, opened, profile, p, lam=0.0):
             if c < best:
                 best, best_phi = c, phi
     return best, best_phi
+
+
+def full_lp_radius_search(problem):
+    """Reference p = inf radius search, one feasibility LP over every in-range
+    (client, center) pair per probe: (G*, the vertex found at G*)."""
+    return bottleneck_search(
+        problem.dist, lambda radius: check_feasible(build_fair_feasibility_lp(problem, radius)))
 
 
 def slow_vanilla_opt(instance, p=None, k=None):
