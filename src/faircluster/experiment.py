@@ -130,6 +130,7 @@ def _run_cell(inst, solved, delta, config: ExperimentConfig, solver: SolverId,
             "radius": run.fair.guess,
             "radius_probes": run.fair.radius_probes,
             "radius_classes": run.fair.radius_classes,
+            "split_clients": run.fair.split_clients,
             "per_cluster_balance": report.balance,
             "cluster_sizes": report.cluster_sizes,
             "group_counts": {f: list(c) for f, c in report.group_counts.items()},

@@ -1,12 +1,16 @@
 """Fair clustering via LP relaxation and iterative rounding.
 
 Pipeline: a vanilla solver fixes the opened centers S, then the fair
-assignment problem on S is relaxed to an LP over x_{v,f}. Integral values
-are fixed, the rest is re-solved under floor/ceil cluster-load windows
-(per facility and per facility-group pair), dropping any window whose
-fractional support falls to 2(Delta+1) or below, until every client is
-fixed. The result violates each fairness constraint by at most 4*Delta + 3
-additively and costs no more than the initial LP optimum.
+assignment problem on S is relaxed to an LP over x_{v,f}. For finite p the
+LP is in lifted form: a load variable L_f per facility and G_fi per
+(facility, group) pair, each defined by one equality row, carry the sums of
+x, so each fairness ratio row bounds G_fi against L_f with two nonzeros
+instead of one per client. Integral values are fixed, the rest is re-solved
+under floor/ceil cluster-load windows (per facility and per facility-group
+pair), dropping any window whose fractional support falls to 2(Delta+1) or
+below, until every client is fixed. The result violates each fairness
+constraint by at most 4*Delta + 3 additively and costs no more than the
+initial LP optimum.
 
 For the bottleneck norm (p = inf) there is no linear objective; instead the
 optimum radius G* is guessed by ``bottleneck_search`` over the n x |S| block
@@ -127,11 +131,11 @@ class FairAssignmentProblem:
 
 
 def _assignment_lp(problem: FairAssignmentProblem, member: np.ndarray, size: np.ndarray,
-                   v: np.ndarray, j: np.ndarray, cost: np.ndarray, scale: float) -> LpModel:
-    """Fair-assignment LP over the variables x_t = x_{v[t], j[t]}, where unit
-    u stands for ``size[u]`` interchangeable clients of membership row
-    ``member[u]``: one client each in the full LP, a signature class in the
-    p = inf probe LP.
+                   v: np.ndarray, j: np.ndarray) -> LpModel:
+    """The p = inf feasibility LP over the variables x_t = x_{v[t], j[t]},
+    with a zero objective, where unit u stands for ``size[u]``
+    interchangeable clients of membership row ``member[u]``: one client each
+    in the full LP, a signature class in the probe LP.
 
     ``a_ub`` holds two ratio rows per (facility, group), facility-major, with
     each coefficient weighted by its unit's size, for every facility with a
@@ -155,21 +159,28 @@ def _assignment_lp(problem: FairAssignmentProblem, member: np.ndarray, size: np.
     b_ub = np.zeros(n_ratio + n - n_eq)
     b_ub[n_ratio:] = -1.0
     return LpModel(
-        c=cost,
+        c=np.zeros(nnz),
         a_ub=csr_from_coo(rows.ravel(), cols.ravel(), data.ravel(), (b_ub.size, nnz)),
         b_ub=b_ub,
         a_eq=csr_from_coo((np.cumsum(served) - 1)[v], np.arange(nnz), np.ones(nnz), (n_eq, nnz)),
         b_eq=np.ones(n_eq),
-        objective_scale=scale,
     )
 
 
 def build_fair_lp(problem: FairAssignmentProblem) -> LpModel:
-    """The fair-assignment relaxation: minimize sum d(v,f)^p x_{v,f} over x in [0,1]
-    with per-(facility, group) ratio rows and one-assignment rows per client.
+    """The fair-assignment relaxation in lifted form: minimize
+    sum d(v,f)^p x_{v,f} over x in [0,1] with one assignment row per client
+    and the per-(facility, group) ratio rows, stated on load variables.
 
-    Variables are all n x |S| pairs (``problem.pairs()``). The objective is
-    ``problem.cost``; the model's ``objective_scale`` restores reported
+    Variables: the n x |S| pairs x_t (``problem.pairs()``), then one load
+    L_f per facility, then the group loads G_fi, facility-major, all in
+    [0, inf). Equality rows: one assignment row per client, then
+    L_f - sum_v x_{v,f} = 0 per facility and G_fi - sum_{v in C_i} x_{v,f} = 0
+    per pair. Inequality rows, two per (facility, group), facility-major:
+    G_fi - alpha_i L_f <= 0 and beta_i L_f - G_fi <= 0. The loads are affine
+    in x, so the vertices and optimum are those of the form with one ratio
+    row over every client; solutions report the x block only. The objective
+    is ``problem.cost``; the model's ``objective_scale`` restores reported
     objectives to d^p units.
     """
     if math.isinf(problem.p):
@@ -177,7 +188,29 @@ def build_fair_lp(problem: FairAssignmentProblem) -> LpModel:
     v, j = problem.pairs()
     cost, scale_p = problem.cost
     inst = problem.instance
-    return _assignment_lp(problem, inst.membership, np.ones(inst.n), v, j, cost[v, j], scale_p)
+    n, ell, s, nnz = inst.n, inst.ell, len(problem.opened), v.size
+    loads = nnz + np.arange(s + s * ell)        # L_f, then G_fi at nnz + s + f*ell + i
+    width = nnz + loads.size
+    t, i = np.nonzero(inst.membership[v])       # the group rows each x_t enters
+    eq_rows = np.concatenate([v, n + j, n + s + ell * j[t] + i, n + np.arange(loads.size)])
+    eq_cols = np.concatenate([np.arange(nnz), np.arange(nnz), t, loads])
+    eq_data = np.concatenate([np.ones(nnz), -np.ones(nnz + t.size), np.ones(loads.size)])
+    # ratio rows 2(f*ell + i) and 2(f*ell + i) + 1, each over (L_f, G_fi)
+    pair = np.arange(s * ell)
+    ub_cols = np.repeat(np.stack([nnz + pair // ell, nnz + s + pair], axis=1), 2, axis=0)
+    alpha, beta = np.tile(problem.profile.alpha, s), np.tile(problem.profile.beta, s)
+    ub_data = np.stack([-alpha, np.ones(pair.size), beta, -np.ones(pair.size)], axis=1)
+    return LpModel(
+        c=np.concatenate([cost[v, j], np.zeros(loads.size)]),
+        a_ub=csr_from_coo(np.repeat(np.arange(2 * pair.size), 2), ub_cols.ravel(),
+                          ub_data.ravel(), (2 * pair.size, width)),
+        b_ub=np.zeros(2 * pair.size),
+        a_eq=csr_from_coo(eq_rows, eq_cols, eq_data, (n + loads.size, width)),
+        b_eq=np.concatenate([np.ones(n), np.zeros(loads.size)]),
+        bounds=np.repeat([[0.0, 1.0], [0.0, math.inf]], [nnz, loads.size], axis=0),
+        objective_scale=scale_p,
+        reported_vars=nnz,
+    )
 
 
 def build_fair_feasibility_lp(problem: FairAssignmentProblem, guess: float) -> LpModel:
@@ -185,16 +218,18 @@ def build_fair_feasibility_lp(problem: FairAssignmentProblem, guess: float) -> L
     with variables only for pairs at distance <= guess (``problem.pairs(guess)``)."""
     v, j = problem.pairs(guess)
     inst = problem.instance
-    return _assignment_lp(problem, inst.membership, np.ones(inst.n), v, j, np.zeros(v.size), 1.0)
+    return _assignment_lp(problem, inst.membership, np.ones(inst.n), v, j)
 
 
 def _signature_classes(problem: FairAssignmentProblem, radius: float):
     """Clients grouped by the bits [membership | dist <= radius], which make
     them interchangeable in every row of the feasibility LP at ``radius``:
     the first client of each class, classes in sorted key order, and the
-    class sizes."""
-    bits = np.concatenate([problem.instance.membership, problem.dist <= radius], axis=1)
-    _, first, size = np.unique(np.packbits(bits, axis=1), axis=0,
+    class sizes. Each packed key row is one void scalar, which sorts by its
+    bytes, so one 1-D sort serves any key width."""
+    bits = np.packbits(np.concatenate([problem.instance.membership, problem.dist <= radius],
+                                      axis=1), axis=1)
+    _, first, size = np.unique(bits.view(np.dtype((np.void, bits.shape[1]))).ravel(),
                                return_index=True, return_counts=True)
     return first, size
 
@@ -208,8 +243,7 @@ def _class_feasibility_lp(problem: FairAssignmentProblem, radius: float) -> LpMo
     ``build_fair_feasibility_lp(problem, radius)`` is."""
     first, size = _signature_classes(problem, radius)
     g, j = np.nonzero(problem.dist[first] <= radius)
-    return _assignment_lp(problem, problem.instance.membership[first], size,
-                          g, j, np.zeros(g.size), 1.0)
+    return _assignment_lp(problem, problem.instance.membership[first], size, g, j)
 
 
 def _build_lp2(problem: FairAssignmentProblem, v: np.ndarray, j: np.ndarray,
@@ -286,6 +320,7 @@ class FairAssignmentResult:
     initial_lp_objective: float | None    # sum d^p units; None for p = inf
     lp2_objectives: tuple[float, ...]
     guess: float | None = None            # p = inf only: the G* radius
+    split_clients: int | None = None      # LP paths only: clients split by the initial vertex
     radius_probes: int | None = None      # radius search only: LPs solved, confirmation included
     radius_classes: int | None = None     # radius search only: signature classes at G*
 
@@ -303,7 +338,10 @@ def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
     2(Delta+1); re-solve and repeat. Each pass fixes or drops something or
     raises SolverError as stalled (the solver returned a non-vertex point).
     SolverError is also raised when an LP solution does not give each of its
-    clients a total of 1 within CONSERVATION_TOL, when the violation exceeds
+    clients a total of 1 within CONSERVATION_TOL, when the initial solution
+    splits more clients (two or more values strictly inside
+    (INTEGRALITY_TOL, 1 - INTEGRALITY_TOL)) than the 2|S|ell ratio rows that
+    bound them at any vertex, when the violation exceeds
     4*Delta + 3, and, for finite p, when the rounded sum d^p exceeds the
     initial LP optimum (relative 1e-6, absolute 1e-9).
     """
@@ -319,6 +357,11 @@ def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
     if missing.size:
         raise ValueError(f"client {missing[0]} has no variable in the LP layout")
     _check_conservation(v, x, n)
+    inside = (x > INTEGRALITY_TOL) & (x < 1.0 - INTEGRALITY_TOL)
+    split = int(np.count_nonzero(np.bincount(v[inside], minlength=n) >= 2))
+    if split > 2 * s * inst.ell:
+        raise SolverError(f"LP solution splits {split} clients, more than its "
+                          f"{2 * s * inst.ell} ratio rows allow at a vertex")
 
     pos = np.full(n, -1, dtype=int)   # opened position of each fixed client
     fix, stays = _split_integral(v, x)
@@ -374,7 +417,7 @@ def iterative_round(problem: FairAssignmentProblem, lp_solution: LpSolution,
         assignment=assignment, lambda_observed=lam,
         rounding_iterations=len(lp2_objectives),
         initial_lp_objective=initial_obj,
-        lp2_objectives=tuple(lp2_objectives), guess=guess,
+        lp2_objectives=tuple(lp2_objectives), guess=guess, split_clients=split,
     )
 
 

@@ -2,13 +2,17 @@
 
 An ``LpModel`` is a frozen minimization LP in ``scipy.optimize.linprog``'s
 own form: objective ``c``, inequality rows ``a_ub @ x <= b_ub`` and equality
-rows ``a_eq @ x == b_eq`` (both CSR), and one ``(lo, hi)`` bound pair shared
-by every variable. Builders assemble each matrix from COO index arrays in one
-call (``csr_from_coo``); ``>=`` rows go into ``a_ub`` negated.
+rows ``a_eq @ x == b_eq`` (both CSR), and variable bounds, either one
+``(lo, hi)`` pair shared by every variable or one pair per variable. Builders
+assemble each matrix from COO index arrays in one call (``csr_from_coo``);
+``>=`` rows go into ``a_ub`` negated. A model may carry auxiliary variables
+after the ones its solution reports (``reported_vars``).
 
 Iterative rounding needs optima that sit at vertices of the feasible polytope,
 so solves go through HiGHS' dual simplex ('highs-ds'); simplex solutions are
-basic by construction.
+basic by construction. HiGHS presolves only an LP whose objective is zero:
+there presolve picks the vertex among the many optima, while on an LP with an
+objective it costs time and leaves the optimum as it is.
 """
 
 from __future__ import annotations
@@ -57,9 +61,12 @@ def csr_from_coo(rows, cols, data, shape) -> sp.csr_matrix:
 class LpModel:
     """minimize c @ x  s.t.  a_ub @ x <= b_ub,  a_eq @ x == b_eq,  lo <= x <= hi.
 
-    A missing row block means no rows of that kind. ``objective_scale``
-    rescales the reported objective only (the model may carry scaled-down
-    coefficients for conditioning); solution values are never scaled.
+    A missing row block means no rows of that kind. ``bounds`` is one
+    ``(lo, hi)`` pair for every variable or a (num_vars, 2) array of pairs.
+    ``objective_scale`` rescales the reported objective only (the model may
+    carry scaled-down coefficients for conditioning); solution values are
+    never scaled. A solution reports the first ``reported_vars`` variables,
+    all of them when None.
     """
 
     c: np.ndarray
@@ -67,8 +74,9 @@ class LpModel:
     b_ub: np.ndarray | None = None
     a_eq: sp.csr_matrix | None = None
     b_eq: np.ndarray | None = None
-    bounds: tuple[float, float] = (0.0, 1.0)
+    bounds: tuple[float, float] | np.ndarray = (0.0, 1.0)
     objective_scale: float = 1.0
+    reported_vars: int | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -88,9 +96,15 @@ class LpModel:
                 raise ValueError(f"{a_name}/{b_name} have non-finite coefficients")
             object.__setattr__(self, a_name, a)
             object.__setattr__(self, b_name, b)
-        lo, hi = self.bounds
-        if not lo <= hi:
+        bounds = np.asarray(self.bounds, dtype=float)
+        if bounds.shape not in ((2,), (c.size, 2)):
+            raise ValueError(f"bounds have shape {bounds.shape}, not (2,) or ({c.size}, 2)")
+        bad = np.flatnonzero(~(bounds[..., 0] <= bounds[..., 1]))
+        if bad.size:
+            lo, hi = bounds.reshape(-1, 2)[bad[0]]
             raise ValueError(f"bad variable bounds [{lo}, {hi}]")
+        if self.reported_vars is not None and not 0 <= self.reported_vars <= c.size:
+            raise ValueError(f"reported_vars {self.reported_vars} outside [0, {c.size}]")
 
     @property
     def num_vars(self) -> int:
@@ -112,13 +126,15 @@ _STATUS_MAP = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDE
 
 
 def solve_lp(model: LpModel) -> LpSolution:
-    """Solve to optimality at a vertex with one HiGHS dual simplex call.
+    """Solve to optimality at a vertex with one HiGHS dual simplex call,
+    presolved only when the objective is zero.
 
     Statuses INFEASIBLE / UNBOUNDED are exact classifications; any other
     non-OPTIMAL status raises SolverError with the backend diagnostics.
     """
     res = linprog(model.c, A_ub=model.a_ub, b_ub=model.b_ub, A_eq=model.a_eq,
-                  b_eq=model.b_eq, bounds=model.bounds, method="highs-ds")
+                  b_eq=model.b_eq, bounds=model.bounds, method="highs-ds",
+                  options={"presolve": not model.c.any()})
     status = _STATUS_MAP.get(res.status)
     if status is None:
         raise SolverError(
@@ -127,7 +143,7 @@ def solve_lp(model: LpModel) -> LpSolution:
         )
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, values=None, objective=None)
-    values = np.asarray(res.x, dtype=float)
+    values = np.array(res.x[:model.reported_vars], dtype=float)
     values.setflags(write=False)
     return LpSolution(status=LpStatus.OPTIMAL, values=values,
                       objective=float(res.fun) * model.objective_scale)

@@ -216,6 +216,20 @@ def test_vacuous_k_center_radius_is_reported(small_csv, tmp_path):
     assert "radius" not in summary.cells_path.read_text()
 
 
+@pytest.mark.parametrize("p", [2, "inf"])
+def test_split_clients_go_to_report_only(small_csv, tmp_path, p):
+    cfg = make_config(small_csv, tmp_path / "out", k_values=[2], p=p, max_points=30,
+                      delta_values=[0.2, "vacuous"])
+    summary = experiment.run_experiment(cfg)
+    report = json.loads(summary.report_path.read_text())
+    cells = {c["delta"]: c for c in report["cells"]}
+    ell = len(report["ingest"]["groups"])
+    # the initial vertex splits at most 2|S|ell clients; the vacuous cell solves no LP
+    assert 0 <= cells[0.2]["split_clients"] <= 2 * 2 * ell
+    assert cells["vacuous"]["split_clients"] is None
+    assert "split" not in summary.cells_path.read_text()
+
+
 def test_oracle_report(small_csv, tmp_path):
     cfg = make_config(small_csv, tmp_path / "out", k_values=[2], max_points=9,
                       delta_values=[0.5])

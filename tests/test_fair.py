@@ -17,6 +17,7 @@ from faircluster import (
     fair_clustering,
 )
 import faircluster.fair as fair_module
+import faircluster.lp as lp_module
 from faircluster.fair import (
     build_fair_feasibility_lp,
     build_fair_lp,
@@ -24,13 +25,14 @@ from faircluster.fair import (
     iterative_round,
 )
 from faircluster.instance import additive_violation, nearest_assignment
-from faircluster.lp import LpSolution, LpStatus, check_feasible, solve_lp
+from faircluster.lp import INTEGRALITY_TOL, LpSolution, LpStatus, check_feasible, solve_lp
 from faircluster.vanilla import SolverId, default_solver_for, solve_vanilla
 
 from util import (
     full_lp_radius_search,
     make_groups,
     random_euclidean_instance,
+    row_per_fairness_lp,
     slow_cost,
     slow_fair_assignment_opt,
     slow_vanilla_opt,
@@ -59,6 +61,27 @@ def radius_problem(seed):
     opened = tuple(rng.choice(n, size=k, replace=False).tolist())
     return FairAssignmentProblem(inst, opened,
                                  delta_to_profile(inst, float(rng.choice([0.0, 0.05, 0.2, 0.5]))))
+
+
+def finite_problem(seed, p, delta):
+    """A finite-p problem on duplicated points or a 1/3 lattice (both rich in
+    distance ties, and the opened centers may coincide) or on generic normal
+    points, Delta 1 or 2; ``delta`` is a knob value or "vacuous". Returns the
+    kind of points with the problem."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(12, 41)), int(rng.integers(2, 6))
+    kind = ("duplicates", "lattice", "generic")[seed % 3]
+    if kind == "duplicates":
+        pts = rng.normal(size=(n, 2))[rng.integers(0, n // 3, size=n)]
+    elif kind == "lattice":
+        pts = rng.integers(0, 7, size=(n, 2)) / 3
+    else:
+        pts = rng.normal(size=(n, 2))
+    inst = ClusteringInstance.from_points(pts, make_groups(rng, n, 1 + seed % 2), k=k, p=p)
+    opened = tuple(rng.choice(n, size=k, replace=False).tolist())
+    profile = (FairnessProfile.vacuous(inst.ell) if delta == "vacuous"
+               else delta_to_profile(inst, delta))
+    return kind, FairAssignmentProblem(inst, opened, profile)
 
 
 def wide_radius_problem():
@@ -106,7 +129,10 @@ class TestDistanceBlock:
         expected_v, expected_j = np.divmod(np.arange(n * s), s)
         np.testing.assert_array_equal(v, expected_v)
         np.testing.assert_array_equal(j, expected_j)
-        assert build_fair_lp(problem).num_vars == n * s
+        # the x block, then the loads L_f and G_fi of the lifted form
+        model = build_fair_lp(problem)
+        assert model.num_vars == n * s + s + s * inst.ell
+        assert model.reported_vars == n * s
 
 
 class TestBuildFairLp:
@@ -161,6 +187,58 @@ class TestBuildFairLp:
             sol = solve_lp(build_fair_lp(FairAssignmentProblem(inst, opened, prof)))
             assert sol.status is LpStatus.OPTIMAL
             assert sol.objective <= opt**2.0 + 1e-7 * max(1.0, opt**2.0)
+
+
+class TestLiftedFairLp:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lifted_lp_matches_the_row_per_fairness_form(self, seed):
+        # the same optimum within 1e-12 relative, and the lifted x block meets
+        # every row of the row-per-fairness form. On generic points the
+        # optimum is unique, so the support and the rounded assignment are the
+        # same too; ties let the two forms stop at different optimal vertices
+        for p in (1.0, 2.0):
+            for delta in (0.0, 0.05, 0.2, "vacuous"):
+                kind, problem = finite_problem(seed, p, delta)
+                reference = row_per_fairness_lp(problem)
+                lifted, rows = solve_lp(build_fair_lp(problem)), solve_lp(reference)
+                assert lifted.status is rows.status is LpStatus.OPTIMAL
+                assert math.isclose(lifted.objective, rows.objective, rel_tol=1e-12, abs_tol=0.0)
+                assert np.all(reference.a_ub @ lifted.values <= 1e-9)
+                np.testing.assert_allclose(reference.a_eq @ lifted.values, 1.0, atol=1e-9)
+                phi = iterative_round(problem, lifted).assignment.phi
+                if kind == "generic":
+                    np.testing.assert_array_equal(lifted.values > INTEGRALITY_TOL,
+                                                  rows.values > INTEGRALITY_TOL)
+                    np.testing.assert_array_equal(
+                        phi, iterative_round(problem, rows).assignment.phi)
+
+    def test_presolve_runs_only_on_zero_objective_lps(self, monkeypatch):
+        # the finite-p fair LP and its LP2s solve unpresolved; check_feasible,
+        # the radius probes, the LP at G* and the p = inf LP2s keep presolve
+        seen = []
+        real_linprog = lp_module.linprog
+
+        def recording(c, *args, options, **kwargs):
+            seen.append((bool(np.any(c)), options))
+            return real_linprog(c, *args, options=options, **kwargs)
+
+        monkeypatch.setattr(lp_module, "linprog", recording)
+        rng = np.random.default_rng(31)
+        inst = random_euclidean_instance(rng, n=12, m=5, k=3, p=1.0)
+        finite = FairAssignmentProblem(inst, (0, 1, 2), delta_to_profile(inst, 0.0))
+        res = fair_assignment(finite)
+        assert res.rounding_iterations >= 1
+        assert seen == [(True, {"presolve": False})] * (1 + res.rounding_iterations)
+
+        seen.clear()
+        res = fair_assign_k_center(radius_problem(0))
+        assert res.rounding_iterations >= 1
+        assert len(seen) == res.radius_probes + res.rounding_iterations
+        assert seen == [(False, {"presolve": True})] * len(seen)
+
+        seen.clear()
+        assert check_feasible(build_fair_lp(finite)) is not None
+        assert seen == [(False, {"presolve": True})]
 
 
 class TestIterativeRound:
@@ -280,6 +358,32 @@ class TestRuntimeChecks:
         values = np.array(sol.values)
         values[layout_clients == layout_clients[0]] *= 0.5
         return LpSolution(status=LpStatus.OPTIMAL, values=values, objective=sol.objective)
+
+    @pytest.mark.parametrize("ell_groups", [1, 2])
+    def test_split_clients_beyond_the_ratio_rows_raise(self, ell_groups):
+        # at a vertex at most 2|S|ell clients are split (the paper's sparsity
+        # bound): a doctored solution with the first clients split evenly over
+        # the two centers and the rest at their nearest center passes at the
+        # bound and raises one client past it. The profile is vacuous and the
+        # reported objective the doctored cost, so nothing else can fire
+        inst = fixed_instance(p=2.0, n=40, m=3, k=2, seed=ell_groups, delta_overlap=ell_groups)
+        problem = FairAssignmentProblem(inst, (0, 1), FairnessProfile.vacuous(inst.ell))
+        bound = 2 * 2 * inst.ell
+        assert inst.n > bound
+        nearest = np.eye(2)[np.argmin(problem.dist, axis=1)]
+        cost, scale_p = problem.cost
+        for split in (bound, bound + 1):
+            values = nearest.copy()
+            values[:split] = 0.5
+            doctored = LpSolution(status=LpStatus.OPTIMAL, values=values.ravel(),
+                                  objective=float(np.sum(cost * values)) * scale_p)
+            if split == bound:
+                assert iterative_round(problem, doctored).split_clients == bound
+            else:
+                with pytest.raises(SolverError, match=f"splits {split} clients, more than "
+                                                      f"its {bound} ratio rows"):
+                    iterative_round(problem, doctored)
+        assert iterative_round(problem, solve_lp(build_fair_lp(problem))).split_clients == 0
 
     def test_initial_solution_breaking_conservation_raises(self):
         problem, sol = self._fractional_problem()
@@ -451,6 +555,21 @@ class TestKCenterPath:
                                       iterative_round(problem, sol, guess).assignment.phi)
         assert 1 <= res.radius_classes <= problem.instance.n
         assert res.radius_probes >= 1
+        assert res.split_clients <= 2 * len(problem.opened) * problem.instance.ell
+
+    @pytest.mark.parametrize("seed", [*range(10), "wide"])
+    def test_signature_classes_equal_the_row_sort(self, seed):
+        # the 1-D sort of the packed keys finds the classes of the row-wise
+        # unique: the same first client and size per class, in the same order,
+        # so the same sets of clients; "wide" spans a key of more than 64 bits
+        problem = wide_radius_problem() if seed == "wide" else radius_problem(seed)
+        for radius in np.unique(problem.dist)[::5]:
+            bits = np.concatenate([problem.instance.membership, problem.dist <= radius], axis=1)
+            _, first, size = np.unique(np.packbits(bits, axis=1), axis=0,
+                                       return_index=True, return_counts=True)
+            got_first, got_size = fair_module._signature_classes(problem, radius)
+            np.testing.assert_array_equal(got_first, first)
+            np.testing.assert_array_equal(got_size, size)
 
     def test_unconfirmed_class_radius_continues_upward(self, monkeypatch):
         # the class probe doctored to report feasibility one distinct radius

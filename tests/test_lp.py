@@ -72,6 +72,23 @@ def test_model_validation():
         LpModel(c=[0.0], bounds=(1.0, 0.0))
 
 
+def test_per_variable_bounds_and_reported_vars():
+    # max x0 + x1 with x0 in [0, 1], x1 in [0, 2] and the auxiliary
+    # x2 = x0 + x1 in [0, inf); solutions report x0 and x1 only
+    m = LpModel(c=[-1.0, -1.0, 0.0], a_eq=[[1.0, 1.0, -1.0]], b_eq=[0.0],
+                bounds=np.array([[0.0, 1.0], [0.0, 2.0], [0.0, math.inf]]), reported_vars=2)
+    sol = solve_lp(m)
+    assert sol.objective == pytest.approx(-3.0)
+    np.testing.assert_allclose(sol.values, [1.0, 2.0])
+    assert check_feasible(m).values.size == 2
+    with pytest.raises(ValueError, match="bounds"):
+        LpModel(c=[0.0, 0.0], bounds=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"bad variable bounds \[2.0, 1.0\]"):
+        LpModel(c=[0.0, 0.0], bounds=[[0.0, 1.0], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="reported_vars"):
+        LpModel(c=[0.0], reported_vars=2)
+
+
 def test_csr_from_coo_keeps_zeros_and_row_order():
     a = csr_from_coo([1, 0, 1, 1], [2, 1, 0, 1], [5.0, 0.0, 6.0, 7.0], (3, 3))
     np.testing.assert_array_equal(a.indptr, [0, 1, 4, 4])

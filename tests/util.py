@@ -14,7 +14,7 @@ import numpy as np
 from faircluster import ClusteringInstance
 from faircluster.fair import build_fair_feasibility_lp
 from faircluster.instance import bottleneck_search
-from faircluster.lp import check_feasible
+from faircluster.lp import LpModel, check_feasible, csr_from_coo
 
 
 def make_groups(rng, n: int, delta_overlap: int):
@@ -103,6 +103,32 @@ def full_lp_radius_search(problem):
     (client, center) pair per probe: (G*, the vertex found at G*)."""
     return bottleneck_search(
         problem.dist, lambda radius: check_feasible(build_fair_feasibility_lp(problem, radius)))
+
+
+def row_per_fairness_lp(problem) -> LpModel:
+    """Reference finite-p fair LP in the paper's form, over the x variables
+    only: two ratio rows per (facility, group), facility-major, each over
+    every client, sum_v (1[v in C_i] - alpha_i) x_{v,f} <= 0 and
+    sum_v (beta_i - 1[v in C_i]) x_{v,f} <= 0, then one assignment row per
+    client."""
+    v, j = problem.pairs()
+    cost, scale_p = problem.cost
+    inst = problem.instance
+    ell = inst.ell
+    member = inst.membership[v].astype(float)
+    data = np.stack([member - np.asarray(problem.profile.alpha),
+                     np.asarray(problem.profile.beta) - member], axis=2)
+    rows = 2 * ell * j[:, None, None] + np.arange(2 * ell).reshape(ell, 2)
+    cols = np.broadcast_to(np.arange(v.size)[:, None, None], rows.shape)
+    n_ub = 2 * ell * len(problem.opened)
+    return LpModel(
+        c=cost[v, j],
+        a_ub=csr_from_coo(rows.ravel(), cols.ravel(), data.ravel(), (n_ub, v.size)),
+        b_ub=np.zeros(n_ub),
+        a_eq=csr_from_coo(v, np.arange(v.size), np.ones(v.size), (inst.n, v.size)),
+        b_eq=np.ones(inst.n),
+        objective_scale=scale_p,
+    )
 
 
 def slow_vanilla_opt(instance, p=None, k=None):
